@@ -86,8 +86,13 @@ class Amcd(SingleKernelMixin, Benchmark):
 
     def setup(self) -> None:
         self.chains = max(512, int(self.DEFAULT_CHAINS * self.scale))
-        self.x0 = self.rng.standard_normal(self.chains).astype(self.ftype)
-        self.seeds = self.rng.integers(1, 1 << 32, size=self.chains, dtype=np.uint64)
+        self.x0, self.seeds = self.shared_draws(
+            (self.chains,),
+            lambda: (
+                self.rng.standard_normal(self.chains),
+                self.rng.integers(1, 1 << 32, size=self.chains, dtype=np.uint64),
+            ),
+        )
         self.acceptance_rate = self._measure_acceptance_rate()
 
     def _measure_acceptance_rate(self, probe_steps: int = 12) -> float:

@@ -263,6 +263,32 @@ class Benchmark(abc.ABC):
     def setup(self) -> None:
         """Allocate and initialize the problem instance (untimed)."""
 
+    def shared_draws(self, dims: tuple, draw: Callable[[], tuple]) -> tuple:
+        """``draw()``'s results with float64 arrays cast to ``ftype``.
+
+        ``draw`` consumes ``self.rng`` in the benchmark's fixed call
+        sequence and returns precision-independent float64/int values.
+        They are memoized in the one-entry :data:`repro.perf.DRAWS`
+        under ``(class, seed, dims)`` — ``dims`` holds every problem
+        dimension the draw reads — and made read-only, so the DP
+        instance created right after SP aliases them
+        (``astype(self.ftype, copy=False)``).
+        """
+
+        def fresh() -> tuple:
+            values = draw()
+            for value in values:
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            return values
+
+        return tuple(
+            v.astype(self.ftype, copy=False)
+            if isinstance(v, np.ndarray) and v.dtype == np.float64
+            else v
+            for v in perf.DRAWS.get_or_compute((type(self), self.seed, dims), fresh)
+        )
+
     @abc.abstractmethod
     def elements(self) -> int:
         """Logical problem elements of one timed iteration."""

@@ -45,9 +45,12 @@ class Conv2D(SingleKernelMixin, Benchmark):
 
     def setup(self) -> None:
         self.dim = max(64, int(self.DEFAULT_DIM * np.sqrt(self.scale)))
-        self.image = self.rng.standard_normal((self.dim, self.dim)).astype(self.ftype)
+        self.image, self.filter = self.shared_draws((self.dim, self.K), self._draw)
+
+    def _draw(self) -> tuple[np.ndarray, np.ndarray]:
+        image = self.rng.standard_normal((self.dim, self.dim))
         filt = self.rng.random((self.K, self.K))
-        self.filter = (filt / filt.sum()).astype(self.ftype)
+        return image, filt / filt.sum()
 
     def elements(self) -> int:
         return self.dim**2

@@ -46,8 +46,10 @@ class Dmmm(SingleKernelMixin, Benchmark):
 
     def setup(self) -> None:
         self.n = max(64, int(self.DEFAULT_N * self.scale ** (1 / 3)))
-        self.A = self.rng.standard_normal((self.n, self.n)).astype(self.ftype)
-        self.B = self.rng.standard_normal((self.n, self.n)).astype(self.ftype)
+        shape = (self.n, self.n)
+        self.A, self.B = self.shared_draws(
+            shape, lambda: (self.rng.standard_normal(shape), self.rng.standard_normal(shape))
+        )
 
     def elements(self) -> int:
         return self.n**2

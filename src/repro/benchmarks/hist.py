@@ -30,9 +30,8 @@ from ..ir.nodes import AccessPattern, Kernel as IrKernel, MemSpace, OpKind, Scal
 from ..memory.cache import StreamSpec
 from ..ocl.program import KernelSpec, Program
 from ..workload import WorkloadTraits
-from .. import perf
 from .base import Benchmark
-from .common import alloc_mapped, exec_memo_tag, launch, read_mapped
+from .common import alloc_mapped, launch, read_mapped
 
 
 class Histogram(Benchmark):
@@ -48,15 +47,17 @@ class Histogram(Benchmark):
 
     def setup(self) -> None:
         self.n = max(4096, int(self.DEFAULT_N * self.scale))
+        self.values, self.hot_fraction = self.shared_draws((self.n, self.BUCKETS), self._draw)
+
+    def _draw(self) -> tuple[np.ndarray, float]:
         # mildly skewed distribution: hot buckets exist but don't dominate
         raw = self.rng.beta(2.0, 3.0, size=self.n)
-        self.values = raw.astype(self.ftype)
         counts = np.bincount(
             np.minimum((raw * self.BUCKETS).astype(np.int64), self.BUCKETS - 1),
             minlength=self.BUCKETS,
         )
-        #: measured probability mass of the hottest bucket -> contention
-        self.hot_fraction = float(counts.max() / self.n)
+        # measured probability mass of the hottest bucket -> contention
+        return raw, float(counts.max() / self.n)
 
     def elements(self) -> int:
         return self.n
@@ -171,14 +172,10 @@ class Histogram(Benchmark):
     # ------------------------------------------------------------------
     def gpu_setup(self, ctx, queue, options: CompileOptions) -> dict:
         main_ir = self.kernel_ir(options)
-        main_func = perf.memoized_kernel_func(exec_memo_tag(self, main_ir.name), self._main_func())
-        specs = [KernelSpec(ir=main_ir, func=main_func, traits=self.gpu_traits(options))]
+        specs = [KernelSpec(ir=main_ir, func=self._main_func(), traits=self.gpu_traits(options))]
         if options.any_enabled:
-            merge_func = perf.memoized_kernel_func(
-                exec_memo_tag(self, "hist_merge"), self._merge_func()
-            )
             specs.append(
-                KernelSpec(ir=self._merge_ir(), func=merge_func, traits=self._merge_traits())
+                KernelSpec(ir=self._merge_ir(), func=self._merge_func(), traits=self._merge_traits())
             )
         program = Program(ctx, specs).build(options)
         buffers = {

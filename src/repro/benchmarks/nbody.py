@@ -87,11 +87,14 @@ class NBody(SingleKernelMixin, Benchmark):
 
     def setup(self) -> None:
         self.n_bodies = max(256, int(self.DEFAULT_BODIES * np.sqrt(self.scale)))
-        bodies = np.zeros((self.n_bodies, FIELDS), dtype=self.ftype)
+        (self.bodies,) = self.shared_draws((self.n_bodies,), self._draw)
+
+    def _draw(self) -> tuple[np.ndarray]:
+        bodies = np.zeros((self.n_bodies, FIELDS))
         bodies[:, 0:3] = self.rng.standard_normal((self.n_bodies, 3))
         bodies[:, 3] = self.rng.random(self.n_bodies) + 0.1
         bodies[:, 4:7] = 0.05 * self.rng.standard_normal((self.n_bodies, 3))
-        self.bodies = bodies
+        return (bodies,)
 
     def elements(self) -> int:
         return self.n_bodies

@@ -31,7 +31,7 @@ from ..ocl.program import KernelSpec, Program
 from ..workload import WorkloadTraits
 from .. import perf
 from .base import Benchmark
-from .common import alloc_mapped, exec_memo_tag, launch, read_mapped
+from .common import alloc_mapped, launch, read_mapped
 
 
 class Reduction(Benchmark):
@@ -46,7 +46,7 @@ class Reduction(Benchmark):
 
     def setup(self) -> None:
         self.n = max(self.STAGE1_ITEMS * 4, int(self.DEFAULT_N * self.scale))
-        self.data = self.rng.standard_normal(self.n).astype(self.ftype)
+        (self.data,) = self.shared_draws((self.n,), lambda: (self.rng.standard_normal(self.n),))
 
     def elements(self) -> int:
         return self.n
@@ -162,16 +162,8 @@ class Reduction(Benchmark):
         stage1 = self.kernel_ir(options)
         stage2 = self._stage2_ir(self.STAGE1_ITEMS)
         specs = [
-            KernelSpec(
-                ir=stage1,
-                func=perf.memoized_kernel_func(exec_memo_tag(self, "red_stage1"), self._stage1_func()),
-                traits=self.gpu_traits(options),
-            ),
-            KernelSpec(
-                ir=stage2,
-                func=perf.memoized_kernel_func(exec_memo_tag(self, "red_stage2"), self._stage2_func()),
-                traits=self._stage2_traits(),
-            ),
+            KernelSpec(ir=stage1, func=self._stage1_func(), traits=self.gpu_traits(options)),
+            KernelSpec(ir=stage2, func=self._stage2_func(), traits=self._stage2_traits()),
         ]
         program = Program(ctx, specs).build(options)
         buffers = {

@@ -40,20 +40,25 @@ class SpMV(SingleKernelMixin, Benchmark):
     def setup(self) -> None:
         self.rows = max(256, int(self.DEFAULT_ROWS * self.scale))
         self.cols = self.rows
+        self.row_lengths, indptr, indices, data, self.x = self.shared_draws(
+            (self.rows, self.cols, self.MEAN_NNZ_PER_ROW), self._draw
+        )
+        self.nnz = int(self.row_lengths.sum())
+        self.matrix = sp.csr_matrix((data, indices, indptr), shape=(self.rows, self.cols))
+
+    def _draw(self) -> tuple[np.ndarray, ...]:
         # log-normal row lengths: a few heavy rows, many light ones
         lengths = self.rng.lognormal(mean=np.log(self.MEAN_NNZ_PER_ROW), sigma=0.9, size=self.rows)
         lengths = np.maximum(lengths.astype(np.int64), 1)
         lengths = np.minimum(lengths, self.cols)
-        self.row_lengths = lengths
-        self.nnz = int(lengths.sum())
         indptr = np.zeros(self.rows + 1, dtype=np.int32)
         np.cumsum(lengths, out=indptr[1:])
         indices = np.concatenate(
             [self.rng.choice(self.cols, size=int(l), replace=False) for l in lengths]
         ).astype(np.int32)
-        data = self.rng.standard_normal(self.nnz).astype(self.ftype)
-        self.matrix = sp.csr_matrix((data, indices, indptr), shape=(self.rows, self.cols))
-        self.x = self.rng.standard_normal(self.cols).astype(self.ftype)
+        data = self.rng.standard_normal(int(lengths.sum()))
+        x = self.rng.standard_normal(self.cols)
+        return lengths, indptr, indices, data, x
 
     def elements(self) -> int:
         return self.rows

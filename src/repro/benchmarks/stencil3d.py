@@ -38,8 +38,8 @@ class Stencil3D(SingleKernelMixin, Benchmark):
 
     def setup(self) -> None:
         self.dim = max(16, int(self.DEFAULT_DIM * self.scale ** (1 / 3)))
-        d = self.dim
-        self.grid = self.rng.standard_normal((d, d, d)).astype(self.ftype)
+        shape = (self.dim,) * 3
+        (self.grid,) = self.shared_draws(shape, lambda: (self.rng.standard_normal(shape),))
 
     def elements(self) -> int:
         return self.dim**3

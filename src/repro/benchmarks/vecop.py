@@ -34,8 +34,9 @@ class VecOp(SingleKernelMixin, Benchmark):
 
     def setup(self) -> None:
         self.n = max(1024, int(self.DEFAULT_N * self.scale))
-        self.a = self.rng.random(self.n).astype(self.ftype)
-        self.b = self.rng.random(self.n).astype(self.ftype)
+        self.a, self.b = self.shared_draws(
+            (self.n,), lambda: (self.rng.random(self.n), self.rng.random(self.n))
+        )
 
     def elements(self) -> int:
         return self.n

@@ -14,9 +14,18 @@ Two families live here:
 
 from __future__ import annotations
 
+import copyreg
+
 
 class ReproError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    Pickles (the perf tier stores raised errors) by rebuilding from
+    ``args`` and attributes, bypassing subclass ``__init__`` signatures.
+    """
+
+    def __reduce__(self):
+        return (copyreg.__newobj__, (type(self), *self.args), self.__dict__ or None)
 
 
 class IRError(ReproError):

@@ -63,6 +63,7 @@ Since PR 5 the engine is also **kill-proof and budget-aware**:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import signal
@@ -348,6 +349,21 @@ def _preprice_group(bench: Benchmark, tasks: tuple[RunTask, ...]) -> int:
         return 0
 
 
+def _create_bench(task: RunTask) -> tuple[Benchmark | None, Exception | None]:
+    """The task's benchmark instance, or the exception its setup raised."""
+    try:
+        bench = create(
+            task.benchmark,
+            precision=task.precision,
+            scale=task.scale,
+            seed=task.seed,
+            platform=task.platform,
+        )
+    except Exception as exc:  # noqa: BLE001 — setup crash capture
+        return None, exc
+    return bench, None
+
+
 def _safe_run(bench: Benchmark, task: RunTask) -> RunResult:
     """Execute one cell, capturing unexpected exceptions as crashes.
 
@@ -401,19 +417,8 @@ def _execute_family(
     out: list[tuple[tuple[RunResult, dict], ...]] = []
     prepriced = 0
     for tasks in groups:
-        first = tasks[0]
-        bench: Benchmark | None = None
-        bench_exc: Exception | None = None
-        try:
-            bench = create(
-                first.benchmark,
-                precision=first.precision,
-                scale=first.scale,
-                seed=first.seed,
-                platform=first.platform,
-            )
-        except Exception as exc:  # noqa: BLE001 — setup crash capture
-            bench_exc = exc
+        bench = None  # drop the previous group's instance before setup
+        bench, bench_exc = _create_bench(tasks[0])
         if bench is not None and preprice:
             prepriced += _preprice_group(bench, tasks)
         runs: list[tuple[RunResult, dict]] = []
@@ -1120,7 +1125,7 @@ class Campaign:
             families = self._plan_families(pending)
 
         if jobs == 1 or len(families) <= 1:
-            self._run_inline(pending, tracer, results)
+            self._run_inline(families, tracer, results)
         else:
             self._run_pool(families, jobs, tracer, results)
 
@@ -1139,60 +1144,38 @@ class Campaign:
 
     def _run_inline(
         self,
-        pending: list[tuple[RunTask, str | None]],
+        families: dict[str, list[list[tuple[RunTask, str | None]]]],
         tracer: Tracer,
         results: dict[tuple, RunResult],
     ) -> None:
         """In-process path: one shared benchmark instance per group,
         exactly like the classic serial loop — the RNG is consumed only
         during setup, so this is observably identical to running each
-        cell on a fresh instance.  Cell crashes (including a failing
-        ``setup``) are captured per task, mirroring the pool path.
+        cell on a fresh instance.  Groups are contiguous in plan order;
+        each group's instance is dropped before the next one's setup.
+        Cell crashes (including a failing ``setup``) are captured per
+        task, mirroring the pool path.
 
         Budgets: the deadline is checked between cells (raising
         :class:`DeadlineExceeded` through the salvage path) and each
         cell runs under a SIGALRM guard — :meth:`_guarded_run` — when
         ``cell_timeout_s`` or a deadline is armed."""
-        benches: dict[tuple[str, Precision], Benchmark] = {}
-        bench_exc: dict[tuple[str, Precision], Exception] = {}
-        for task, key in pending:
-            self._check_deadline()
-            self._dispatch(task, tracer)
-            bkey = (task.benchmark, task.precision)
-            if bkey not in benches and bkey not in bench_exc:
-                try:
-                    benches[bkey] = create(
-                        task.benchmark,
-                        precision=task.precision,
-                        scale=task.scale,
-                        seed=task.seed,
-                        platform=task.platform,
-                    )
-                except Exception as exc:  # noqa: BLE001 — setup crash capture
-                    bench_exc[bkey] = exc
+        for group in itertools.chain.from_iterable(families.values()):
+            bench = bench_exc = None
+            for index, (task, key) in enumerate(group):
+                self._check_deadline()
+                self._dispatch(task, tracer)
+                if index == 0:
+                    bench, bench_exc = _create_bench(task)
+                    if bench is not None and self.preprice:
+                        self._prepriced += _preprice_group(bench, tuple(t for t, _ in group))
+                before = perf.counters()
+                if bench is not None:
+                    run = self._guarded_run(bench, task)
                 else:
-                    if self.preprice:
-                        self._prepriced += _preprice_group(
-                            benches[bkey],
-                            tuple(
-                                t
-                                for t, _ in pending
-                                if (t.benchmark, t.precision) == bkey
-                            ),
-                        )
-            before = perf.counters()
-            if bkey in benches:
-                run = self._guarded_run(benches[bkey], task)
-            else:
-                run = _crash_result(task, bench_exc[bkey])
-            self._finish(
-                task,
-                key,
-                run,
-                results,
-                tracer,
-                perf_delta=perf.counters_delta(before, perf.counters()),
-            )
+                    run = _crash_result(task, bench_exc)
+                delta = perf.counters_delta(before, perf.counters())
+                self._finish(task, key, run, results, tracer, perf_delta=delta)
 
     def _check_deadline(self) -> None:
         if self._deadline_at is not None and self.clock.monotonic() >= self._deadline_at:

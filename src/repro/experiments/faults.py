@@ -276,15 +276,18 @@ def _bump(state_dir: Path, benchmark: str, version, precision) -> int:
 
     One byte appended per attempt: the counter survives ``os._exit``
     (the write hits the page cache before the trigger fires) and is
-    shared by every process pointing at the same state directory.  A
-    cell is only ever executed by one process at a time, so the append
-    needs no locking.
+    shared by every process pointing at the same state directory.  The
+    attempt number is the offset after this descriptor's own append, so
+    concurrent bumps (two workers' first result frames) never collide.
     """
     path = state_dir / _cell_id(benchmark, version, precision)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "ab") as fh:
-        fh.write(b"x")
-    return path.stat().st_size
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        os.write(fd, b"x")
+        return os.lseek(fd, 0, os.SEEK_CUR)
+    finally:
+        os.close(fd)
 
 
 def _trigger(spec: FaultSpec, benchmark: str, version, precision) -> None:

@@ -14,24 +14,19 @@ while keeping results bit-identical:
 * ``gpu_timing`` / ``cpu_timing`` — :func:`repro.mali.timing.time_launch`
   and Serial/OpenMP pricing results;
 * ``functional`` — per-benchmark-instance functional results (reference
-  outputs, ``run_numpy`` executions, verification verdicts);
-* ``gpu_exec`` — content-addressed functional kernel executions (the
-  OpenCL and OpenCL-Opt versions of a benchmark run the same NumPy
-  kernel on the same staged inputs; the second launch replays the
-  first's outputs).
+  outputs, ``run_numpy`` executions, verification verdicts).
 
-Every cache is an LRU with hit/miss/evict counters; the campaign engine
+:data:`DRAWS` holds the latest benchmark's generated inputs, so a DP
+instance set up right after SP reuses its draws.  Every cache is an LRU with hit/miss/evict counters; the campaign engine
 snapshots :func:`counters` around each run and threads the deltas into
 :class:`~repro.experiments.engine.CampaignReport` and the JSONL trace.
 
-Since PR 3 the content-keyed caches are **two-tier**: below the
-in-process LRU sits an optional disk-backed
-:class:`~repro.perf.persist.PersistentStore`
+The content-keyed caches are **two-tier**: below the in-process LRU
+sits an optional disk-backed :class:`~repro.perf.persist.PersistentStore`
 (``configure(config=PerfConfig(persist_dir=...))``), so campaign
-workers share warm state
-through the filesystem and a fresh process starts hot.  Only the
-caches whose keys are content-addressed persist (``compile``,
-``analysis``, ``gpu_timing``, ``cpu_timing``, ``gpu_exec``); the
+workers share warm state through the filesystem and a fresh process
+starts hot.  Only the caches whose keys are content-addressed persist
+(``compile``, ``analysis``, ``gpu_timing``, ``cpu_timing``); the
 per-instance ``functional`` memo stays in-process.  Disk activity is
 accounted per cache as ``disk_hits`` / ``disk_misses`` /
 ``disk_writes`` / ``disk_invalidated`` keys in the same
@@ -42,8 +37,7 @@ content-hashable inputs (kernel IR trees, options, calibrated configs)
 or from content digests of NumPy arrays, so a cache hit returns exactly
 the object a fresh computation would have produced.  The whole lane can
 be switched off (``configure(config=PerfConfig(enabled=False))`` or the
-:func:`disabled`
-context manager) to fall back to the unmemoized path — the two paths
+:func:`disabled` context manager) to fall back to the unmemoized path — the two paths
 produce byte-identical :class:`~repro.experiments.runner.ResultSet`
 JSON, which ``benchmarks/test_perf_hotpath.py`` asserts at paper scale.
 """
@@ -52,6 +46,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import threading
 import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -66,6 +61,7 @@ from .persist import PersistentStore, TierStats
 
 __all__ = [
     "CacheStats",
+    "DRAWS",
     "MemoCache",
     "PERSISTED_CACHES",
     "PerfConfig",
@@ -83,7 +79,6 @@ __all__ = [
     "disabled",
     "instance_memo",
     "is_enabled",
-    "memoized_kernel_func",
     "persistent_store",
     "reset",
 ]
@@ -93,7 +88,7 @@ DEFAULT_MAXSIZE = 512
 
 #: caches whose keys are content-addressed and therefore valid across
 #: processes — the only ones the persistent tier may back
-PERSISTED_CACHES = frozenset({"compile", "analysis", "gpu_timing", "cpu_timing", "gpu_exec"})
+PERSISTED_CACHES = frozenset({"compile", "analysis", "gpu_timing", "cpu_timing"})
 
 _ENABLED = True
 
@@ -294,6 +289,32 @@ class MemoCache:
         self.stats = CacheStats()
 
 
+class _SingleEntryMemo:
+    """A thread-safe memo of only the latest entry.  A miss drops it
+    *before* computing the next, so two values are never held; other
+    threads wait for the compute instead of interleaving with it."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entry: tuple = (_MISS, None)
+
+    def get_or_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
+        if not _ENABLED:
+            return compute()
+        with self._lock:
+            if self._entry[0] != key:
+                self._entry = (_MISS, None)
+                self._entry = (key, compute())
+            return self._entry[1]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entry = (_MISS, None)
+
+
+#: the latest benchmark's generated inputs (``Benchmark.shared_draws``)
+DRAWS = _SingleEntryMemo()
+
 _REGISTRY: dict[str, MemoCache] = {}
 
 
@@ -370,7 +391,8 @@ def counters_merge(*deltas: dict[str, dict[str, int]]) -> dict[str, dict[str, in
 
 
 def reset() -> None:
-    """Clear every cache and zero every counter (a cold fast lane).
+    """Clear every cache (and :data:`DRAWS`) and zero every counter (a
+    cold fast lane).
 
     The persistent tier's *counters* are zeroed too, but its on-disk
     entries survive — dropping those is an explicit
@@ -378,6 +400,7 @@ def reset() -> None:
     """
     for c in _REGISTRY.values():
         c.clear()
+    DRAWS.clear()
     if _STORE is not None:
         _STORE.reset_stats()
 
@@ -448,46 +471,3 @@ def instance_memo(obj: Any, tag: Any, compute: Callable[[], Any], *, counter: st
     value = compute()
     memo[tag] = value
     return value
-
-
-def memoized_kernel_func(tag: Any, func: Callable[..., None]) -> Callable[..., None]:
-    """Content-addressed replay wrapper for a kernel's functional body.
-
-    The mini-OpenCL queue executes a kernel's NumPy implementation on
-    the device views of its argument buffers.  The OpenCL and OpenCL-Opt
-    versions of a benchmark launch the same function on identically
-    staged inputs — the numeric outcome cannot differ — so the wrapper
-    keys on ``tag`` plus content digests of every argument, runs the
-    real function on a miss, records which arrays it changed, and on a
-    hit replays those outputs without recomputing.  Timing and power are
-    unaffected: the queue prices every launch through the architecture
-    model regardless.
-    """
-    exec_cache = cache("gpu_exec", maxsize=32)
-
-    def wrapper(*args: Any) -> None:
-        if not _ENABLED:
-            func(*args)
-            return
-        arrays = [a for a in args if isinstance(a, np.ndarray)]
-        pre = tuple(digest(a) for a in arrays)
-        scalars = tuple(repr(a) for a in args if not isinstance(a, np.ndarray))
-        key = (tag, pre, scalars)
-        entry = exec_cache.get(key)
-        if entry is _MISS and _STORE is not None and exec_cache.persist:
-            entry = _STORE.load(exec_cache.name, key)
-            if entry is not _MISS:
-                exec_cache.put(key, entry)
-        if entry is not _MISS:
-            for index, data in entry:
-                arrays[index][...] = data
-            return
-        func(*args)
-        changed = tuple(
-            (i, arr.copy()) for i, arr in enumerate(arrays) if digest(arr) != pre[i]
-        )
-        exec_cache.put(key, changed)
-        if _STORE is not None and exec_cache.persist:
-            _STORE.store(exec_cache.name, key, changed)
-
-    return wrapper

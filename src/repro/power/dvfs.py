@@ -31,6 +31,7 @@ without disturbing the fixed-frequency calibration:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -143,6 +144,11 @@ class OPPTable:
         scaled so its nominal OPP is *exactly* the config's clock (the
         top frequency is assigned, not multiplied, so no float residue
         leaks into the fixed-frequency reproduction).
+
+        Every OPP keeps its place and voltage: one that would round onto
+        its upper neighbour (``(1999999999.9999998, 2e9)`` → 50 MHz)
+        takes the next float below it, so the ladder stays strictly
+        increasing.
         """
         if top_hz <= 0:
             raise ValueError("top_hz must be positive")
@@ -150,12 +156,11 @@ class OPPTable:
         if top_hz == top.frequency_hz:
             return self
         ratio = top_hz / top.frequency_hz
-        scaled = [
-            OperatingPoint(p.frequency_hz * ratio, p.voltage_v)
-            for p in self.points[:-1]
-        ]
-        scaled.append(OperatingPoint(top_hz, top.voltage_v))
-        return OPPTable(tuple(scaled))
+        scaled = [OperatingPoint(top_hz, top.voltage_v)]
+        for p in reversed(self.points[:-1]):
+            below = math.nextafter(scaled[-1].frequency_hz, 0.0)
+            scaled.append(OperatingPoint(min(p.frequency_hz * ratio, below), p.voltage_v))
+        return OPPTable(tuple(reversed(scaled)))
 
 
 #: Mali-T604 OPPs of the Exynos 5250 (mainline exynos5250.dtsi ladder);

@@ -1,10 +1,15 @@
-"""Shared test fixtures: the pool-hang timeout guard.
+"""Shared test fixtures: the pool-hang timeout guard, and the ``heavy``
+hypothesis profile.
 
 Fault-injection tests drive real worker kills through a
 ``ProcessPoolExecutor``; a recovery bug could leave the parent blocked
 in ``future.result()`` forever and stall the whole suite (and CI).
 ``@pytest.mark.timeout_guard(seconds)`` arms a SIGALRM that turns such
 a hang into an ordinary test failure instead.
+
+``pytest --hypothesis-profile=heavy`` raises the example count of the
+property modules that size their runs with ``examples(n)``; the CI
+perf-smoke job runs that pass, so rare counterexamples surface there.
 """
 
 from __future__ import annotations
@@ -12,8 +17,11 @@ from __future__ import annotations
 import signal
 
 import pytest
+from hypothesis import settings
 
 DEFAULT_GUARD_S = 120
+
+settings.register_profile("heavy", max_examples=5000, deadline=None)
 
 
 @pytest.fixture(autouse=True)

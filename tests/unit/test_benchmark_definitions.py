@@ -1,8 +1,13 @@
 """Unit tests: every benchmark builds valid IR, traits and numerics."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from repro import perf
 from repro.benchmarks import BENCHMARKS, PAPER_ORDER, Precision, create
 from repro.compiler.options import NAIVE, CompileOptions
 from repro.ir import analyze, validate
@@ -158,3 +163,108 @@ class TestBenchmarkSpecifics:
         bench = create("nbody", scale=SMALL)
         mix = analyze(bench.kernel_ir(NAIVE))
         assert mix.flops() / mix.bytes_moved() > 1.0
+
+
+# ---------------------------------------------------------------------------
+# shared draws: SP and DP instances of one benchmark reuse the inputs
+# ---------------------------------------------------------------------------
+
+
+def _state(bench) -> dict:
+    """Every array (sparse matrices split into their parts) and every
+    scalar of an instance, as comparable ``(dtype, bytes)`` / values."""
+    out = {}
+    for name, value in vars(bench).items():
+        if sp.issparse(value):
+            for part in ("data", "indices", "indptr"):
+                array = getattr(value, part)
+                out[f"{name}.{part}"] = (array.dtype.str, array.tobytes())
+        elif isinstance(value, np.ndarray):
+            out[name] = (value.dtype.str, value.tobytes())
+        elif isinstance(value, (int, float)):
+            out[name] = value
+    return out
+
+
+def _arrays(bench) -> list[np.ndarray]:
+    arrays = []
+    for value in vars(bench).values():
+        if sp.issparse(value):
+            arrays += [value.data, value.indices, value.indptr]
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+    return arrays
+
+
+def _fresh(name: str, precision: Precision):
+    """An instance drawn with the memo empty."""
+    perf.reset()
+    return create(name, precision=precision, scale=SMALL, seed=99)
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("name", PAPER_ORDER)
+    def test_dp_after_sp_equals_dp_from_empty_memo(self, name):
+        alone = _state(_fresh(name, Precision.DOUBLE))
+        _fresh(name, Precision.SINGLE)
+        shared = create(name, precision=Precision.DOUBLE, scale=SMALL, seed=99)
+        assert _state(shared) == alone
+
+    @pytest.mark.parametrize("name", PAPER_ORDER)
+    def test_shared_arrays_are_read_only(self, name):
+        single = _fresh(name, Precision.SINGLE)
+        double = create(name, precision=Precision.DOUBLE, scale=SMALL, seed=99)
+        for array in _arrays(double):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = array.flat[0]
+        again = create(name, precision=Precision.DOUBLE, scale=SMALL, seed=99)
+        for mine, theirs in zip(_arrays(double), _arrays(again)):
+            assert np.shares_memory(mine, theirs)  # aliased, not copied
+        # the SP cast is the instance's own copy
+        assert all(a.flags.writeable for a in _arrays(single) if a.dtype == np.float32)
+
+    @pytest.mark.parametrize(
+        "name, attribute, factor",
+        [("vecop", "DEFAULT_N", 2), ("hist", "BUCKETS", 4), ("spmv", "MEAN_NNZ_PER_ROW", 2)],
+    )
+    def test_patched_class_size_misses_the_memo(self, monkeypatch, name, attribute, factor):
+        cls = BENCHMARKS[name]
+        before = _state(_fresh(name, Precision.SINGLE))
+        monkeypatch.setattr(cls, attribute, getattr(cls, attribute) * factor)
+        patched = _state(create(name, precision=Precision.SINGLE, scale=SMALL, seed=99))
+        assert patched != before
+        assert patched == _state(_fresh(name, Precision.SINGLE))
+
+    def test_concurrent_threads_get_their_own_draws(self):
+        """More threads than cores, each setting up its own benchmark,
+        switching every microsecond: every instance gets its own draws."""
+        names = ("vecop", "red", "hist", "3dstc")
+        expected = {
+            (name, precision): _state(_fresh(name, precision))
+            for name in names
+            for precision in Precision
+        }
+        perf.reset()
+        barrier = threading.Barrier(len(names))
+        seen: dict = {name: [] for name in names}
+
+        def build(name: str) -> None:
+            barrier.wait()
+            for _ in range(3):
+                for precision in Precision:
+                    bench = create(name, precision=precision, scale=SMALL, seed=99)
+                    seen[name].append(_state(bench) == expected[(name, precision)])
+
+        threads = [threading.Thread(target=build, args=(name,)) for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(seen[name] == [True] * 6 for name in names)

@@ -13,11 +13,26 @@ import pickle
 import pytest
 
 from repro import PAPER_ORDER, Precision, Version, create, perf
+from repro import errors
 from repro.errors import ReproError
 from repro.experiments.engine import Campaign, CampaignSpec
 from repro.experiments.runner import run_grid
 from repro.experiments.trace import ListTraceSink
 from repro.perf.persist import PERSIST_SCHEMA, MISS, PersistentStore, key_digest
+
+
+#: every error class of the library (pickled as negative cache entries)
+ERROR_CLASSES = sorted(
+    (cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, ReproError)),
+    key=lambda cls: cls.__name__,
+)
+
+#: constructors for the classes whose ``__init__`` is not ``(message)``
+ERROR_ARGS = {
+    errors.RegisterAllocationError: lambda: errors.RegisterAllocationError(
+        "kernel needs 80 registers", 80, 64
+    ),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -141,6 +156,29 @@ class TestTwoTierIntegration:
         with pytest.raises(ReproError, match="register exhaustion"):
             c.get_or_compute(("bad",), boom)
         assert calls == [1]
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_every_error_class_round_trips_through_the_tier(self, tmp_path, cls):
+        perf.configure(config=perf.PerfConfig(persist_dir=tmp_path))
+        c = perf.cache("compile")
+        error = ERROR_ARGS.get(cls, lambda: cls("boom"))()
+        calls = []
+
+        def fail():
+            calls.append(1)
+            raise error
+
+        with pytest.raises(cls):
+            c.get_or_compute(("bad",), fail)
+        perf.reset()  # cold memory: the negative result comes from disk
+        with pytest.raises(cls) as loaded:
+            c.get_or_compute(("bad",), fail)
+        assert calls == [1]
+        assert loaded.value is not error
+        assert loaded.value.args == error.args
+        assert str(loaded.value) == str(error)
+        assert vars(loaded.value) == vars(error)
+        assert perf.counters()["compile"]["disk_invalidated"] == 0
 
     def test_counter_shape_without_store_is_unchanged(self):
         perf.cache("gpu_timing").get_or_compute(("k",), lambda: 1)

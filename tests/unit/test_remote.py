@@ -11,6 +11,7 @@ campaign's ``ResultSet.to_json()`` stays byte-identical to a local run.
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import warnings
 
@@ -222,6 +223,32 @@ class TestNetFaults:
                     send_message(a, {"kind": "result"}, endpoint="worker")
             a, _b = _sockpair()
             send_message(a, {"kind": "result"}, endpoint="worker")  # third: clean
+
+    def test_concurrent_frames_fault_exactly_once(self, tmp_path):
+        """Two workers sending their first result frame at the same
+        moment: a times=1 fault hits exactly one of them."""
+        spec = faults.FaultSpec(benchmark="worker", version="result", mode="net_drop", times=1)
+        n = 8
+        barrier = threading.Barrier(n)
+        hits: list = []
+
+        def send() -> None:
+            barrier.wait()
+            hits.append(faults.maybe_net("worker", "result"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with faults.injected(spec, state_dir=tmp_path):
+                threads = [threading.Thread(target=send) for _ in range(n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sum(hit is not None for hit in hits) == 1
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown fault mode"):
