@@ -4,10 +4,11 @@ Builds the full SP+DP cell grid once (every benchmark × precision CPU
 Serial/OpenMP cell plus every compilable autotuner candidate as a GPU
 launch cell) and prices a 64-point SoC design space two ways:
 
-* **stacked** — :meth:`repro.designspace.DesignSpace.stacked_rows` per
-  config: the GPU/CPU config stacks hoist every config-invariant
-  quantity at build time, so each config costs a few whole-grid NumPy
-  passes plus :func:`repro.power.rails.stack_watts`;
+* **stacked** — one :meth:`repro.designspace.DesignSpace.stacked_rows`
+  call over all configs: the GPU/CPU config stacks hoist every
+  config-invariant quantity at build time, so the whole space costs a
+  few ``(configs × cells)`` NumPy passes plus
+  :func:`repro.power.rails.stack_watts`;
 * **facade loop** — :meth:`~repro.designspace.DesignSpace.facade_rows`
   per config: a fresh ``PlatformPricing`` facade per SoC, the cost
   profile of running the PR-6 batched grid once per config.
@@ -66,7 +67,7 @@ def test_design_space_stacked(benchmark):
     """64 configs x the full SP+DP grid through the config stacks."""
     space, configs, build_s = _build_space()
     rows = benchmark.pedantic(
-        lambda: [space.stacked_rows(c) for c in configs],
+        lambda: space.stacked_rows(configs),
         rounds=ROUNDS,
         iterations=1,
     )
@@ -75,7 +76,7 @@ def test_design_space_stacked(benchmark):
     benchmark.extra_info["gpu_cells"] = len(space.gpu_cells)
     benchmark.extra_info["cpu_cells"] = len(space.cpu_cells)
     benchmark.extra_info["space_build_s"] = round(build_s, 4)
-    assert len(rows) == len(configs)
+    assert rows.cpu_seconds.shape[0] == len(configs)
 
 
 def test_design_space_facade_loop(benchmark):
@@ -108,14 +109,14 @@ def test_design_space_speedup_and_identity(benchmark):
     facade_s = time.perf_counter() - t0
 
     stacked_rows = benchmark.pedantic(
-        lambda: [space.stacked_rows(c) for c in configs],
+        lambda: space.stacked_rows(configs),
         rounds=ROUNDS,
         iterations=1,
     )
     stacked_s = benchmark.stats.stats.min
 
-    for config, s, f in zip(configs, stacked_rows, facade_rows):
-        assert _rows_bitwise_equal(s, f), config.name
+    for i, (config, f) in enumerate(zip(configs, facade_rows)):
+        assert _rows_bitwise_equal(stacked_rows.take([i]), f), config.name
     speedup = facade_s / stacked_s
     benchmark.extra_info["scale"] = SCALE
     benchmark.extra_info["configs"] = len(configs)

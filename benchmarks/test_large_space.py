@@ -4,7 +4,8 @@ Sweeps a 4096-config SoC grid (8 core counts x 8 clocks x 8 DRAM
 bandwidths x 8 rail scales) over the full benchmark suite two ways:
 
 * **stream** — ``evaluate_space(stream=True)``: configs are priced in
-  fixed-size chunks, each chunk's target-slice points feed per-precision
+  fixed-size chunks (each chunk's survivors in one batched
+  ``DesignSpace.rows`` call), each chunk's target-slice points feed per-precision
   :class:`~repro.pareto.OnlineFrontier` accumulators and are discarded,
   and the roofline/rail lower bound prunes configs whose best possible
   ``(seconds, energy)`` is already strictly dominated — most of the

@@ -20,7 +20,6 @@ scalar per cell: routing those through libm-equivalent NumPy ufuncs is
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 
 from ..ir.analysis import InstructionMix
 from ..ir.nodes import AccessPattern, MemSpace
@@ -546,29 +545,21 @@ class CpuPricingModel:
 # ---------------------------------------------------------------------------
 # Config-axis stacking (design-space sweeps)
 
-#: A15Config fields a :class:`CpuConfigStack` treats as sweepable axes.
-#: They appear only in the Serial/OpenMP epilogues — never inside
-#: ``_core_cycles`` — so the hoisted cycle/instruction columns stay valid
-#: across every variant.
-_CPU_STACK_AXES = frozenset(
-    {"cores", "clock_hz", "mlp_overlap", "omp_region_overhead_s", "omp_chunk_overhead_s"}
-)
-
-
-def _cpu_stack_signature(config: A15Config) -> tuple:
-    """The config fields a stack bakes into its hoisted cycle columns."""
-    return tuple(
-        (f.name, getattr(config, f.name))
-        for f in fields(config)
-        if f.name not in _CPU_STACK_AXES
-    )
+#: A15Config fields a :class:`CpuConfigStack` takes as per-config
+#: columns.  They appear only in the Serial/OpenMP epilogues — never
+#: inside ``_core_cycles`` — so the hoisted cycle/instruction columns
+#: stay valid across every variant; every other field (the epilogues'
+#: overlap and OpenMP overheads included) comes from the base config.
+_CPU_STACK_AXES = frozenset({"cores", "clock_hz"})
 
 
 class CpuStackRows:
-    """Row arrays of one (config, dram) design point over a cell stack.
+    """Row arrays of k (config, dram) design points over a cell stack.
 
-    One lane per cell, aligned with the stack's cell order.  CPU cells
-    have no feasibility axis — every config prices every cell.
+    ``(k, cells)`` lanes, one row per config in call order, aligned with
+    the stack's cell order; ``dram_bytes`` is the config-independent
+    ``(cells,)`` column.  CPU cells have no feasibility axis — every
+    config prices every cell.
     """
 
     __slots__ = ("seconds", "ipc", "active_cores", "dram_bandwidth", "dram_bytes")
@@ -588,11 +579,12 @@ class CpuConfigStack:
     across the swept axes (:data:`_CPU_STACK_AXES`), so they are computed
     once through the shared :class:`CpuPricer` machinery; each
     :meth:`rows` call replays only the Serial/OpenMP epilogues as
-    whole-stack array passes.  Every lane is bitwise-identical to pricing
-    the cell through a per-config :class:`CpuPricingModel` facade — the
-    array expressions mirror the scalar epilogues operation by operation
-    (``math.log``/``math.sqrt`` of config scalars stay on ``math``; only
-    per-cell arithmetic is vectorized).
+    ``(configs × cells)`` array passes.  Every lane is bitwise-identical
+    to pricing the cell through a per-config :class:`CpuPricingModel`
+    facade — the array expressions mirror the scalar epilogues operation
+    by operation (``math.log``/``math.sqrt`` of config scalars stay on
+    ``math``, one per config, and enter as columns; only per-cell
+    arithmetic is vectorized).
     """
 
     def __init__(
@@ -614,7 +606,6 @@ class CpuConfigStack:
         self.config = config
         self.dram = dram
         self.caches = caches
-        self._sig = _cpu_stack_signature(config)
         self._model = CpuPricingModel(config, dram, caches)
 
         group_ord: dict[tuple[int, int], int] = {}
@@ -687,68 +678,79 @@ class CpuConfigStack:
         return found
 
     # ------------------------------------------------------------------
-    def rows(self, config: A15Config, dram: DramModel) -> CpuStackRows:
-        """Price every cell under one ``(config, dram)`` design point."""
+    def rows(self, *, cores, clock_hz, drams) -> CpuStackRows:
+        """Price every cell under k design points, ``(k, cells)`` rows.
+
+        The stacked axes come in as aligned per-config sequences: core
+        counts, clocks and each config's
+        :class:`~repro.memory.dram.DramModel` (share one object per
+        distinct DRAM: its transfer rows are gathered, not recomputed).
+        """
         import numpy as np
 
-        if _cpu_stack_signature(config) != self._sig:
-            raise ValueError(
-                "config differs from the stack base outside the stacked axes "
-                f"({', '.join(sorted(_CPU_STACK_AXES))})"
-            )
-        ds_serial, ds_openmp = self._dram_for(dram)
-        clock = config.clock_hz
-        n_cores = config.cores
+        from ..pricing import rows_by_key
+
+        config = self.config
+        n_cores = list(cores)
+        if not n_cores:
+            raise ValueError("rows() needs at least one config")
+
+        def column(values, dtype=np.float64):
+            return np.asarray(values, dtype=dtype)[:, None]
+
+        ds_serial, ds_openmp = rows_by_key(drams, self._dram_for)
+        clock = column(clock_hz)
+        cores_f = column([float(n) for n in n_cores])
+        k = len(n_cores)
         width = len(self.cells)
-        seconds = np.empty(width)
-        ipc = np.empty(width)
-        active = np.empty(width, dtype=np.int64)
+        seconds = np.empty((k, width))
+        ipc = np.empty((k, width))
+        active = np.empty((k, width), dtype=np.int64)
+        overlap_miss = 1.0 - config.mlp_overlap
 
         si = self._serial
         if si.size:
-            cyc = self._cycles[si]
             instr = self._instructions[si]
-            ds = ds_serial[si]
-            compute_s = cyc / clock
-            total = np.maximum(compute_s, ds) + (
-                (1.0 - config.mlp_overlap) * np.minimum(compute_s, ds)
-            )
+            ds = ds_serial[:, si]
+            compute_s = self._cycles[si] / clock
+            total = np.maximum(compute_s, ds) + (overlap_miss * np.minimum(compute_s, ds))
             with np.errstate(divide="ignore", invalid="ignore"):
                 rate = instr / (total * clock)
-            seconds[si] = total
-            ipc[si] = np.where(total > 0, rate, 0.0)
-            active[si] = 1
+            seconds[:, si] = total
+            ipc[:, si] = np.where(total > 0, rate, 0.0)
+            active[:, si] = 1
 
         oi = self._openmp
         if oi.size:
             cyc = self._cycles[oi]
             instr = self._instructions[oi]
-            ds = ds_openmp[oi]
+            ds = ds_openmp[:, oi]
             cv = self._cv[oi]
             serial_cycles = cyc * self._sf[oi]
             parallel_cycles = cyc - serial_cycles
-            log_cores = math.log(max(n_cores, 2))
-            sqrt_cores = math.sqrt(n_cores)
-            chunks = np.maximum(self._n_f[oi] / n_cores, 1.0)
+            log_cores = column([math.log(max(n, 2)) for n in n_cores])
+            sqrt_cores = column([math.sqrt(n) for n in n_cores])
+            chunks = np.maximum(self._n_f[oi] / cores_f, 1.0)
             imbalance = np.where(
                 cv > 0.0,
                 1.0 + cv * np.sqrt((2.0 * log_cores) / chunks),
                 1.0,
             )
             imbalance = np.maximum(imbalance, 1.0 + (0.35 * cv) / sqrt_cores)
-            compute_s = (serial_cycles + (parallel_cycles / n_cores) * imbalance) / clock
-            total = np.maximum(compute_s, ds) + (
-                (1.0 - config.mlp_overlap) * np.minimum(compute_s, ds)
-            )
-            overhead = self._launches[oi] * (
-                config.omp_region_overhead_s + n_cores * config.omp_chunk_overhead_s
+            compute_s = (serial_cycles + (parallel_cycles / cores_f) * imbalance) / clock
+            total = np.maximum(compute_s, ds) + (overlap_miss * np.minimum(compute_s, ds))
+            overhead = self._launches[oi] * column(
+                [
+                    config.omp_region_overhead_s + n * config.omp_chunk_overhead_s
+                    for n in n_cores
+                ]
             )
             total = total + overhead
             with np.errstate(divide="ignore", invalid="ignore"):
-                rate = instr / (total * clock * n_cores)
-            seconds[oi] = total
-            ipc[oi] = np.where(total > 0, rate, 0.0)
-            active[oi] = n_cores
+                rate = instr / (total * clock * cores_f)
+            seconds[:, oi] = total
+            ipc[:, oi] = np.where(total > 0, rate, 0.0)
+            active[:, oi] = column(n_cores, np.int64)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             bw = self._dram_bytes / seconds

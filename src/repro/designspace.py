@@ -12,7 +12,8 @@ evaluates the hypercube as *stacked* NumPy evaluations instead:
   built a single time by :class:`DesignSpace`;
 * :class:`~repro.mali.timing.GpuConfigStack` and
   :class:`~repro.cpu.pricing.CpuConfigStack` hoist every config-invariant
-  quantity, so each SoC config costs a few whole-grid array passes;
+  quantity, so k SoC configs cost a few ``(configs × cells)`` array
+  passes;
 * board power comes from :func:`~repro.power.rails.stack_watts` over the
   row arrays.
 
@@ -37,7 +38,8 @@ On top sit deterministic Pareto helpers: :func:`dominates`,
 
 Large spaces run through **streaming evaluation**
 (``evaluate_space(stream=True)``): configs are priced in fixed-size
-chunks, each chunk's target-slice points feed per-precision
+chunks, one batched :meth:`DesignSpace.rows` call per chunk's
+survivors, each chunk's target-slice points feed per-precision
 :class:`~repro.pareto.OnlineFrontier` accumulators, and dominated
 points are dropped immediately — peak memory is O(chunk + frontier)
 instead of O(space).  Before pricing, a vectorized roofline/rail
@@ -52,7 +54,7 @@ merged to results byte-identical to ``jobs=1``.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .benchmarks.base import Precision, cpu_pricing_inputs
@@ -72,6 +74,8 @@ VERSIONS = ("Serial", "OpenMP", "Opt")
 AGGREGATE = "aggregate"
 
 _PRECISIONS_DEFAULT = (Precision.SINGLE, Precision.DOUBLE)
+#: configs per batched pricing call of the materializing evaluate()
+_EVAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -109,12 +113,13 @@ class _BenchCells:
 
 
 class SpaceRows:
-    """Aligned row arrays of one config over a :class:`DesignSpace` grid.
+    """Aligned ``(configs, cells)`` row arrays over a :class:`DesignSpace` grid.
 
-    GPU lanes follow the space's GPU cell order, CPU lanes its CPU cell
-    order ([Serial, OpenMP] per group).  ``gpu_iter_seconds`` is
-    ``seconds × launches`` (the Opt currency); infeasible GPU lanes are
-    ``inf`` seconds/energy, zero watts.
+    One row per config in call order.  GPU lanes follow the space's GPU
+    cell order, CPU lanes its CPU cell order ([Serial, OpenMP] per
+    group).  ``gpu_iter_seconds`` is ``seconds × launches`` (the Opt
+    currency); infeasible GPU lanes are ``inf`` seconds/energy, zero
+    watts.
     """
 
     __slots__ = (
@@ -132,6 +137,10 @@ class SpaceRows:
         for name in self.__slots__:
             setattr(self, name, arrays[name])
 
+    def take(self, index) -> "SpaceRows":
+        """The rows of the configs at ``index`` (a sequence of positions)."""
+        return SpaceRows(**{name: getattr(self, name)[index] for name in self.__slots__})
+
 
 class DesignSpace:
     """The prepared hypercube: one cell grid + config stacks, many configs.
@@ -140,10 +149,10 @@ class DesignSpace:
     whose kernels cannot allocate at all — the hard
     ``CL_OUT_OF_RESOURCES`` limit — are dropped for every config, same
     as the tuner) and builds the GPU/CPU config stacks.
-    ``stacked_rows`` then prices one config in a few array passes;
-    ``facade_rows`` prices the identical cells through that config's
-    :class:`~repro.pricing.grid.PlatformPricing` facade, bitwise equal
-    lane for lane.
+    ``stacked_rows`` then prices k configs in a few ``(configs × cells)``
+    array passes; ``facade_rows`` prices one config's identical cells
+    through its :class:`~repro.pricing.grid.PlatformPricing` facade,
+    bitwise equal lane for lane.
     """
 
     def __init__(
@@ -227,6 +236,13 @@ class DesignSpace:
         self.cpu_cells = tuple(cpu_cells)
         self.gpu_cells = tuple(gpu_cells)
         self._launches_f = np.asarray([float(l) for l in launches])
+        #: precisions in group order (the aggregate points' order)
+        self._group_precisions = tuple(dict.fromkeys(bc.precision for bc in groups))
+        #: design points per config: [Serial, OpenMP, Opt] per group plus
+        #: one aggregate per (precision, version)
+        self.points_per_config = len(VERSIONS) * (
+            len(groups) + len(self._group_precisions)
+        )
 
         dram = self.base.dram_model()
         self._gpu_stack = (
@@ -237,54 +253,95 @@ class DesignSpace:
         self._cpu_stack = CpuConfigStack(
             self.cpu_cells, self.base.cpu, dram, self.base.cpu_caches()
         )
+        self._drams: dict[float, object] = {}  # dram_gbps -> derived DramModel
         self._bounds = None  # lazy opt_bounds tables
 
     # ------------------------------------------------------------------
-    def stacked_rows(self, config: SoCConfig) -> SpaceRows:
-        """Row arrays of one config via the config-axis stacks."""
+    def _dram_for(self, dram_gbps: float):
+        """The derived DRAM model at one ``dram_gbps``, one shared object
+        per value (the derivation depends on no other knob)."""
+        found = self._drams.get(dram_gbps)
+        if found is None:
+            config = replace(EXYNOS_5250, dram_gbps=dram_gbps)
+            found = self._drams[dram_gbps] = config.platform(self.base).dram_model()
+        return found
+
+    def _gpu_lanes(self, g, watts) -> dict:
+        """The GPU fields of :class:`SpaceRows` from stack rows and watts."""
         import numpy as np
 
-        platform = config.platform(self.base)
-        dram = platform.dram_model()
-        rails = platform.rails
+        gpu_watts = np.where(g.feasible, watts, 0.0)
+        gpu_iter = g.seconds * self._launches_f
+        with np.errstate(invalid="ignore"):
+            gpu_energy = np.where(g.feasible, gpu_iter * gpu_watts, np.inf)
+        return {
+            "gpu_feasible": g.feasible,
+            "gpu_seconds": g.seconds,
+            "gpu_iter_seconds": gpu_iter,
+            "gpu_watts": gpu_watts,
+            "gpu_energy": gpu_energy,
+        }
 
-        c = self._cpu_stack.rows(platform.cpu, dram)
+    def stacked_rows(self, configs) -> SpaceRows:
+        """Row arrays of k configs via the config-axis stacks.
+
+        The configs' knobs enter the stacks as columns, and each rail
+        coefficient as ``base × rail_scale`` — the products
+        :meth:`SoCConfig.platform` would compute — so no per-config
+        platform is derived; DRAM models are derived once per
+        ``dram_gbps``.
+        """
+        import numpy as np
+
+        configs = tuple(configs)
+        drams = [self._dram_for(c.dram_gbps) for c in configs]
+        rail_scale = np.asarray([c.rail_scale for c in configs], dtype=np.float64)[:, None]
+        rails = self.base.rails
+
+        c = self._cpu_stack.rows(
+            cores=[x.cpu_cores for x in configs],
+            clock_hz=[x.cpu_clock_hz for x in configs],
+            drams=drams,
+        )
         cpu_watts = stack_watts(
             rails,
             ActivityKind.CPU,
             dram_bandwidth=c.dram_bandwidth,
             active_cpu_cores=c.active_cores,
             cpu_ipc=c.ipc,
+            rail_scale=rail_scale,
         )
-        cpu_energy = c.seconds * cpu_watts
 
         if self._gpu_stack is not None:
-            g = self._gpu_stack.rows(platform.mali, dram)
+            g = self._gpu_stack.rows(
+                shader_cores=[x.gpu_cores for x in configs],
+                clock_hz=[x.gpu_clock_hz for x in configs],
+                register_file_scale=[x.register_file_scale for x in configs],
+                drams=drams,
+            )
             watts = stack_watts(
                 rails,
                 ActivityKind.GPU_KERNEL,
                 dram_bandwidth=g.dram_bandwidth,
                 gpu_alu_utilization=g.alu_utilization,
                 gpu_ls_utilization=g.ls_utilization,
+                rail_scale=rail_scale,
             )
-            gpu_watts = np.where(g.feasible, watts, 0.0)
-            gpu_iter = g.seconds * self._launches_f
-            with np.errstate(invalid="ignore"):
-                gpu_energy = np.where(g.feasible, gpu_iter * gpu_watts, np.inf)
-            gpu_feasible = g.feasible
-            gpu_seconds = g.seconds
+            gpu = self._gpu_lanes(g, watts)
         else:
-            gpu_feasible = np.zeros(0, dtype=bool)
-            gpu_seconds = gpu_iter = gpu_watts = gpu_energy = np.zeros(0)
+            empty = np.zeros((len(configs), 0))
+            gpu = {
+                "gpu_feasible": empty.astype(bool),
+                "gpu_seconds": empty,
+                "gpu_iter_seconds": empty,
+                "gpu_watts": empty,
+                "gpu_energy": empty,
+            }
         return SpaceRows(
-            gpu_feasible=gpu_feasible,
-            gpu_seconds=gpu_seconds,
-            gpu_iter_seconds=gpu_iter,
-            gpu_watts=gpu_watts,
-            gpu_energy=gpu_energy,
+            **gpu,
             cpu_seconds=c.seconds,
             cpu_watts=cpu_watts,
-            cpu_energy=cpu_energy,
+            cpu_energy=c.seconds * cpu_watts,
         )
 
     def facade_rows(self, config: SoCConfig) -> SpaceRows:
@@ -293,7 +350,8 @@ class DesignSpace:
         The loop-over-facades reference engine: one
         :class:`~repro.pricing.grid.PlatformPricing` per config, cells
         pre-filtered by the same register-file predicate the stack uses,
-        power through the facade's batched trace pricing.
+        power through the facade's batched trace pricing.  Returns a
+        single ``(1, cells)`` row.
         """
         import numpy as np
 
@@ -361,98 +419,160 @@ class DesignSpace:
             [traces[len(idx) + j].energy_j for j in range(len(cpu_rows))]
         )
         return SpaceRows(
-            gpu_feasible=gpu_feasible,
-            gpu_seconds=gpu_seconds,
-            gpu_iter_seconds=gpu_iter,
-            gpu_watts=gpu_watts,
-            gpu_energy=gpu_energy,
-            cpu_seconds=cpu_seconds,
-            cpu_watts=cpu_watts,
-            cpu_energy=cpu_energy,
+            gpu_feasible=gpu_feasible[None, :],
+            gpu_seconds=gpu_seconds[None, :],
+            gpu_iter_seconds=gpu_iter[None, :],
+            gpu_watts=gpu_watts[None, :],
+            gpu_energy=gpu_energy[None, :],
+            cpu_seconds=cpu_seconds[None, :],
+            cpu_watts=cpu_watts[None, :],
+            cpu_energy=cpu_energy[None, :],
         )
 
-    def rows(self, config: SoCConfig, engine: str = "stacked") -> SpaceRows:
+    def rows(self, configs, engine: str = "stacked") -> SpaceRows:
+        """``(configs, cells)`` row arrays of k configs through one engine."""
+        import numpy as np
+
         if engine == "stacked":
-            return self.stacked_rows(config)
+            return self.stacked_rows(configs)
         if engine == "facade":
-            return self.facade_rows(config)
+            per_config = [self.facade_rows(c) for c in configs]
+            return SpaceRows(
+                **{
+                    name: np.concatenate([getattr(r, name) for r in per_config])
+                    for name in SpaceRows.__slots__
+                }
+            )
         raise ValueError(f"unknown engine {engine!r}; expected 'stacked' or 'facade'")
 
     # ------------------------------------------------------------------
-    def points(self, config: SoCConfig, rows: SpaceRows) -> list[DesignPoint]:
-        """Design points of one config from its row arrays.
+    def _lanes(self, rows: SpaceRows, version: str) -> list[tuple]:
+        """Per-group ``(seconds, watts, energy, feasible)`` columns of one
+        version, each of shape ``(configs,)``.
 
-        Shared by both engines, so point equality reduces to row
-        identity.  Emits [Serial, OpenMP, Opt] per (benchmark,
-        precision) group, then per-precision aggregates (sums across
-        benchmarks; an aggregate Opt is infeasible if any benchmark's
-        is).
+        Opt is the group's first-minimum ``seconds × launches`` lane
+        (``inf``/zero-watt/infeasible when no candidate fits).
         """
         import numpy as np
 
-        pts: list[DesignPoint] = []
-        agg: dict[tuple[str, str], list] = {}  # (precision, version) -> [s, e, ok]
-        for bc in self.groups:
-            for version, lane in (("Serial", bc.cpu_start), ("OpenMP", bc.cpu_start + 1)):
-                seconds = float(rows.cpu_seconds[lane])
-                watts = float(rows.cpu_watts[lane])
-                energy = float(rows.cpu_energy[lane])
-                pts.append(
-                    DesignPoint(
-                        config_name=config.name,
-                        benchmark=bc.name,
-                        precision=bc.precision,
-                        version=version,
-                        seconds=seconds,
-                        watts=watts,
-                        energy_j=energy,
-                    )
+        k = rows.gpu_feasible.shape[0]
+        feasible = np.ones(k, dtype=bool)
+        if version != "Opt":
+            off = VERSIONS.index(version)
+            return [
+                (
+                    rows.cpu_seconds[:, bc.cpu_start + off],
+                    rows.cpu_watts[:, bc.cpu_start + off],
+                    rows.cpu_energy[:, bc.cpu_start + off],
+                    feasible,
                 )
-                acc = agg.setdefault((bc.precision, version), [0.0, 0.0, True])
-                acc[0] += seconds
-                acc[1] += energy
+                for bc in self.groups
+            ]
+        inf = np.full(k, np.inf)
+        out = []
+        for bc in self.groups:
+            if bc.gpu_stop == bc.gpu_start:
+                out.append((inf, np.zeros(k), inf, ~feasible))
+                continue
             span = slice(bc.gpu_start, bc.gpu_stop)
-            feas = rows.gpu_feasible[span]
-            if feas.size and bool(feas.any()):
-                j = int(np.argmin(rows.gpu_iter_seconds[span]))
-                seconds = float(rows.gpu_iter_seconds[span][j])
-                watts = float(rows.gpu_watts[span][j])
-                energy = float(rows.gpu_energy[span][j])
-                ok = True
-            else:
-                seconds, watts, energy, ok = float("inf"), 0.0, float("inf"), False
-            pts.append(
-                DesignPoint(
-                    config_name=config.name,
-                    benchmark=bc.name,
-                    precision=bc.precision,
-                    version="Opt",
-                    seconds=seconds,
-                    watts=watts,
-                    energy_j=energy,
-                    feasible=ok,
+            ok = rows.gpu_feasible[:, span].any(axis=1)
+            j = np.argmin(rows.gpu_iter_seconds[:, span], axis=1)[:, None]
+            seconds, watts, energy = (
+                np.take_along_axis(lanes[:, span], j, 1)[:, 0]
+                for lanes in (rows.gpu_iter_seconds, rows.gpu_watts, rows.gpu_energy)
+            )
+            out.append(
+                (
+                    np.where(ok, seconds, np.inf),
+                    np.where(ok, watts, 0.0),
+                    np.where(ok, energy, np.inf),
+                    ok,
                 )
             )
-            acc = agg.setdefault((bc.precision, "Opt"), [0.0, 0.0, True])
-            acc[0] += seconds
-            acc[1] += energy
-            acc[2] = acc[2] and ok
-        for precision in dict.fromkeys(bc.precision for bc in self.groups):
-            for version in VERSIONS:
-                seconds, energy, ok = agg[(precision, version)]
-                watts = energy / seconds if ok and seconds > 0 else 0.0
-                pts.append(
-                    DesignPoint(
-                        config_name=config.name,
-                        benchmark=AGGREGATE,
-                        precision=precision,
-                        version=version,
-                        seconds=seconds,
-                        watts=watts,
-                        energy_j=energy,
-                        feasible=ok,
+        return out
+
+    def _aggregate(self, lanes) -> dict:
+        """Per-precision sums of per-group lanes, in group order.
+
+        ``{precision: (seconds, watts, energy, feasible)}``: seconds and
+        energy accumulate from ``0.0`` in the groups' order (the scalar
+        running sum, lane for lane), feasibility is the conjunction, and
+        watts is ``energy / seconds`` where feasible with positive
+        seconds, else zero.
+        """
+        import numpy as np
+
+        sums: dict[str, list] = {}
+        for bc, (seconds, _, energy, ok) in zip(self.groups, lanes):
+            acc = sums.get(bc.precision)
+            if acc is None:
+                k = seconds.shape[0]
+                acc = sums[bc.precision] = [np.zeros(k), np.zeros(k), np.ones(k, bool)]
+            acc[0] = acc[0] + seconds
+            acc[1] = acc[1] + energy
+            acc[2] = acc[2] & ok
+        out = {}
+        for precision, (seconds, energy, ok) in sums.items():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                watts = np.where(ok & (seconds > 0), energy / seconds, 0.0)
+            out[precision] = (seconds, watts, energy, ok)
+        return out
+
+    def slice_lanes(self, rows: SpaceRows, benchmark: str, version: str) -> dict:
+        """``{precision: (seconds, watts, energy, feasible)}`` columns of
+        one ``(benchmark, version)`` slice; ``benchmark`` may be
+        :data:`AGGREGATE`."""
+        lanes = self._lanes(rows, version)
+        if benchmark == AGGREGATE:
+            return self._aggregate(lanes)
+        return {
+            bc.precision: lane
+            for bc, lane in zip(self.groups, lanes)
+            if bc.name == benchmark
+        }
+
+    def points(self, configs, rows: SpaceRows, target=None) -> list[DesignPoint]:
+        """Design points of k configs from their ``(k, cells)`` row arrays.
+
+        Shared by both engines, so point equality reduces to row
+        identity.  Per config, in config order: [Serial, OpenMP, Opt]
+        per (benchmark, precision) group, then per-precision aggregates
+        (sums across benchmarks; an aggregate Opt is infeasible if any
+        benchmark's is).  ``target=(benchmark, version)`` builds only
+        that slice instead: one point per (config, precision).
+        """
+
+        def columns(lanes):
+            return [tuple(col.tolist() for col in lane) for lane in lanes]
+
+        names = [c.name for c in configs]
+        pts: list[DesignPoint] = []
+        if target is not None:
+            benchmark, version = target
+            found = self.slice_lanes(rows, benchmark, version)
+            cols = columns(found.values())
+            for i, name in enumerate(names):
+                for precision, (s, w, e, ok) in zip(found, cols):
+                    pts.append(
+                        DesignPoint(name, benchmark, precision, version, s[i], w[i], e[i], ok[i])
                     )
-                )
+            return pts
+        lanes = {v: self._lanes(rows, v) for v in VERSIONS}
+        per_group = {v: columns(lanes[v]) for v in VERSIONS}
+        aggregates = {v: columns(self._aggregate(lanes[v]).values()) for v in VERSIONS}
+        for i, name in enumerate(names):
+            for g, bc in enumerate(self.groups):
+                for v in VERSIONS:
+                    s, w, e, ok = per_group[v][g]
+                    pts.append(
+                        DesignPoint(name, bc.name, bc.precision, v, s[i], w[i], e[i], ok[i])
+                    )
+            for p, precision in enumerate(self._group_precisions):
+                for v in VERSIONS:
+                    s, w, e, ok = aggregates[v][p]
+                    pts.append(
+                        DesignPoint(name, AGGREGATE, precision, v, s[i], w[i], e[i], ok[i])
+                    )
         return pts
 
     # ------------------------------------------------------------------
@@ -460,9 +580,11 @@ class DesignSpace:
         self, configs, engine: str = "stacked"
     ) -> tuple[DesignPoint, ...]:
         """Points of many configs, in config order (single process)."""
+        configs = tuple(configs)
         out: list[DesignPoint] = []
-        for config in configs:
-            out.extend(self.points(config, self.rows(config, engine)))
+        for start in range(0, len(configs), _EVAL_BLOCK):
+            block = configs[start : start + _EVAL_BLOCK]
+            out.extend(self.points(block, self.rows(block, engine)))
         return tuple(out)
 
     # ------------------------------------------------------------------
@@ -479,7 +601,7 @@ class DesignSpace:
             by_prec: dict[str, list[int]] = {}
             for g, bc in enumerate(self.groups):
                 by_prec.setdefault(bc.precision, []).append(g)
-            tables = self._bounds = (starts, empty, by_prec, {}, {})
+            tables = self._bounds = (starts, empty, by_prec, {})
         return tables
 
     def _group_infeasible(self, register_file_scale: float):
@@ -493,7 +615,7 @@ class DesignSpace:
         """
         import numpy as np
 
-        starts, empty, _, _, infeas_cache = self._bound_tables()
+        starts, empty, _, infeas_cache = self._bound_tables()
         found = infeas_cache.get(register_file_scale)
         if found is None:
             feas_g, _ = self._gpu_stack._tpc_for(register_file_scale)
@@ -524,12 +646,15 @@ class DesignSpace:
         (:func:`~repro.power.rails.gpu_floor_watts` of the rail-scaled
         config) bounds its watts; per-precision aggregates accumulate
         in the exact group order :meth:`points` uses, so the same-order
-        float sums stay monotone term for term.
+        float sums stay monotone term for term.  Every lane depends only
+        on its own config (elementwise passes, an exact group minimum),
+        so one call over a shard equals per-chunk calls on its slices
+        bit for bit.
         """
         import numpy as np
 
         configs = tuple(configs)
-        starts, empty, by_prec, dram_cache, _ = self._bound_tables()
+        starts, empty, by_prec, _ = self._bound_tables()
         n = len(configs)
         if self._gpu_stack is None or not n:
             inf = np.full(n, np.inf)
@@ -544,40 +669,43 @@ class DesignSpace:
             rails.board_idle_w + rails.host_polling_w * rail_scale
         ) + rails.gpu_base_w * rail_scale
 
-        cores = np.asarray([float(c.gpu_cores) for c in configs])
-        clock = np.asarray([c.gpu_clock_hz for c in configs])
-        gmin = np.empty((n, len(self.groups)))
+        # the group minima depend on a config only through its GPU
+        # knobs and DRAM: bound each distinct combination once (lanes
+        # are per-config elementwise, so sharing a row is exact)
+        slots: dict[tuple, int] = {}
+        index = [
+            slots.setdefault(
+                (c.dram_gbps, c.register_file_scale, c.gpu_cores, c.gpu_clock_hz),
+                len(slots),
+            )
+            for c in configs
+        ]
+        gmin = np.empty((len(slots), len(self.groups)))
         by_dram: dict[tuple, list[int]] = {}
-        for i, c in enumerate(configs):
-            by_dram.setdefault((c.dram_gbps, c.register_file_scale), []).append(i)
-        for (gbps, rf_scale), idxs in by_dram.items():
-            dram = dram_cache.get(gbps)
-            if dram is None:
-                dram = dram_cache[gbps] = (
-                    configs[idxs[0]].platform(self.base).dram_model()
-                )
+        for u, key in enumerate(slots):
+            by_dram.setdefault(key[:2], []).append(u)
+        keys = list(slots)
+        for (gbps, rf_scale), members in by_dram.items():
             floor = self._gpu_stack.floor_seconds(
-                dram,
-                shader_cores=cores[idxs],
-                clock_hz=clock[idxs],
+                self._dram_for(gbps),
+                shader_cores=[float(keys[u][2]) for u in members],
+                clock_hz=[keys[u][3] for u in members],
                 register_file_scale=rf_scale,
             )
             iter_floor = floor * self._launches_f[None, :]
             # groups tile the gpu-cell axis contiguously in order, so a
             # reduceat over the starts is the per-group min; empty
             # groups (reduceat would alias the next span) are masked
-            gmin[idxs, :] = np.minimum.reduceat(iter_floor, starts, axis=1)
-        if empty.any():
-            gmin[:, empty] = np.inf
-        # provable register-file infeasibility: the group's Opt point
-        # is exactly infeasible (inf seconds), not merely bounded
-        by_rf: dict[float, list[int]] = {}
-        for i, c in enumerate(configs):
-            by_rf.setdefault(c.register_file_scale, []).append(i)
-        for rf_scale, idxs in by_rf.items():
+            gmin[members, :] = np.minimum.reduceat(iter_floor, starts, axis=1)
+            # provable register-file infeasibility: the group's Opt
+            # point is exactly infeasible (inf seconds), not merely
+            # bounded
             infeasible = self._group_infeasible(rf_scale)
             if infeasible.any():
-                gmin[np.ix_(idxs, np.flatnonzero(infeasible))] = np.inf
+                gmin[np.ix_(members, np.flatnonzero(infeasible))] = np.inf
+        if empty.any():
+            gmin[:, empty] = np.inf
+        gmin = gmin[index]
 
         out: dict[str, tuple] = {}
         for prec, gids in by_prec.items():
@@ -642,10 +770,15 @@ def _stream_shard(
     full point lists of the ``keep_names`` configs (shard order), one
     :class:`~repro.pareto.OnlineFrontier` per precision over the
     ``(target_benchmark, precision, target_version)`` slice,
-    evaluated/pruned config counts and the peak number of simultaneously
-    resident :class:`DesignPoint` objects (chunk + kept + frontier) —
-    the O(chunk + frontier) memory-model witness.
+    evaluated/pruned config counts and the peak number of
+    simultaneously priced design points (chunk survivors × points per
+    config + kept + frontier) — the O(chunk + frontier) memory-model
+    witness.  Each chunk's survivors are priced in one
+    :meth:`DesignSpace.rows` call; only the target slice (and the keep
+    configs' full lists) become :class:`DesignPoint` objects.
     """
+    import numpy as np
+
     if frontiers is None:
         frontiers = {p.value: OnlineFrontier(key=_sort_key) for p in space.precisions}
     evaluated = 0
@@ -653,86 +786,78 @@ def _stream_shard(
     peak = 0
     kept_by_name: dict[str, list[DesignPoint]] = {}
     can_prune = prune and target_version == "Opt"
-    inf = float("inf")
     n_kept = 0
+    per_config = space.points_per_config
+    target = (target_benchmark, target_version)
 
-    def _evaluate(config) -> int:
+    def _evaluate(batch) -> None:
         nonlocal evaluated, n_kept
-        pts = space.points(config, space.rows(config, engine))
-        evaluated += 1
-        if config.name in keep_names:
-            kept_by_name[config.name] = pts
-            n_kept += len(pts)
-        for p in pts:
-            if p.benchmark == target_benchmark and p.version == target_version:
-                frontiers[p.precision].add(p)
-        return len(pts)
+        if not batch:
+            return
+        rows = space.rows(batch, engine)
+        evaluated += len(batch)
+        for p in space.points(batch, rows, target=target):
+            frontiers[p.precision].add(p)
+        for i, config in enumerate(batch):
+            if config.name in keep_names:
+                pts = space.points([config], rows.take([i]))
+                kept_by_name[config.name] = pts
+                n_kept += len(pts)
 
-    # bound-only first pass: cache each chunk's bounds and seed the
-    # frontier with the most promising configs (per precision, the
-    # bound-time and bound-energy argmins), so the main sweep prunes
-    # against a near-final frontier from its very first chunk.  Probe
-    # choice only affects *which* dominated configs get skipped — the
-    # frontier itself is order-independent and pruning is sound — so
-    # any probe set yields the same result points.
+    # bound-only first pass: one opt_bounds call over the shard (sliced
+    # per chunk below), seeding the frontier with the most promising
+    # configs (per precision, the first bound-time and bound-energy
+    # argmins), so the main sweep prunes against a near-final frontier
+    # from its very first chunk.  Probe choice only affects *which*
+    # dominated configs get skipped — the frontier itself is
+    # order-independent and pruning is sound — so any probe set yields
+    # the same result points.
     chunk_starts = range(0, len(configs), chunk_size)
-    chunk_bounds: list[dict] = []
-    probe_idx: list[int] = []
+    n = len(configs)
+    probe = np.zeros(n, dtype=bool)
+    keep = np.asarray([c.name in keep_names for c in configs], dtype=bool)
     if can_prune:
-        best: dict[tuple, tuple] = {}  # (precision, axis) -> (value, index)
-        for start in chunk_starts:
-            chunk = configs[start : start + chunk_size]
-            bounds = space.opt_bounds(chunk, benchmark=target_benchmark)
-            chunk_bounds.append(bounds)
-            for prec, (t, e) in bounds.items():
-                for axis, arr in (("t", t), ("e", e)):
-                    i = int(arr.argmin())
-                    value = float(arr[i])
-                    if value < inf and value < best.get((prec, axis), (inf,))[0]:
-                        best[(prec, axis)] = (value, start + i)
-        probe_idx = sorted({i for _, i in best.values()})
-        probe_points = sum(_evaluate(configs[i]) for i in probe_idx)
-        peak = probe_points + sum(len(f) for f in frontiers.values())
-    probes = set(probe_idx)
+        bounds = space.opt_bounds(configs, benchmark=target_benchmark)
+        for t, e in bounds.values():
+            for arr in (t, e):
+                i = int(arr.argmin())
+                if arr[i] < np.inf:
+                    probe[i] = True
+        probe_idx = np.flatnonzero(probe).tolist()
+        _evaluate([configs[i] for i in probe_idx])
+        peak = len(probe_idx) * per_config + sum(len(f) for f in frontiers.values())
 
-    for chunk_no, start in enumerate(chunk_starts):
-        chunk = configs[start : start + chunk_size]
-        chunk_pruned = 0
+    for start in chunk_starts:
+        stop = min(start + chunk_size, n)
         if can_prune:
-            bounds = chunk_bounds[chunk_no]
-            survivors = []
-            for i, config in enumerate(chunk):
-                if start + i in probes:
-                    continue  # already evaluated while seeding
-                # skippable iff, for every precision, the config's
-                # target point provably cannot join the frontier:
-                # either its bound is exactly infeasible, or a real
-                # frontier member strictly dominates the bound (and by
-                # transitivity the actual point, bound <= actual)
-                if config.name not in keep_names and all(
-                    t[i] == inf
-                    or (
-                        len(frontiers[prec])
-                        and frontiers[prec].strictly_dominates(
-                            float(t[i]), float(e[i])
-                        )
-                    )
-                    for prec, (t, e) in bounds.items()
-                ):
-                    pruned += 1
-                    chunk_pruned += 1
-                else:
-                    survivors.append(config)
+            # skippable iff, for every precision, the config's target
+            # point provably cannot join the frontier: either its bound
+            # is exactly infeasible, or a real frontier member strictly
+            # dominates the bound (and by transitivity the actual point,
+            # bound <= actual)
+            skip = ~(keep[start:stop] | probe[start:stop])
+            for prec, (t, e) in bounds.items():
+                t, e = t[start:stop], e[start:stop]
+                skip &= (t == np.inf) | frontiers[prec].strictly_dominates(t, e)
+            chunk_pruned = int(skip.sum())
+            pruned += chunk_pruned
+            live = np.flatnonzero(~(skip | probe[start:stop])).tolist()
         else:
-            survivors = list(chunk)
-        chunk_points = sum(_evaluate(config) for config in survivors)
-        resident = chunk_points + n_kept + sum(len(f) for f in frontiers.values())
+            chunk_pruned = 0
+            live = range(stop - start)
+        survivors = [configs[start + i] for i in live]
+        _evaluate(survivors)
+        resident = (
+            len(survivors) * per_config
+            + n_kept
+            + sum(len(f) for f in frontiers.values())
+        )
         peak = max(peak, resident)
         if tracer is not None:
             tracer.emit(
                 "space_chunk_finished",
                 detail={
-                    "configs": len(chunk),
+                    "configs": stop - start,
                     "evaluated": len(survivors),
                     "pruned": chunk_pruned,
                     "frontier": {p: len(f) for p, f in frontiers.items()},
@@ -849,8 +974,10 @@ class DesignSpaceResult:
     discarded while streaming).  In stream mode ``configs`` /
     ``digests`` cover only the retained configs, ``evaluated`` +
     ``pruned`` equals the size of the swept space, and
-    ``peak_resident`` is the observed memory-model witness (max
-    simultaneously resident points: chunk + kept + frontier).
+    ``peak_resident`` is the memory-model witness: the most design
+    points priced at once (a chunk's survivors × points per config,
+    plus kept points, plus frontier points) — priced points, most of
+    which stay array lanes, not objects held in memory.
     """
 
     configs: tuple[SoCConfig, ...]
@@ -1426,62 +1553,58 @@ def _dvfs_key(p: DvfsDesignPoint):
     return (p.seconds, p.energy_j, p.config_name, p.governor)
 
 
-def _dvfs_opp_slices(space: DesignSpace, platform, dram, table, opp, benchmark):
-    """Per-precision ``(seconds, watts, energy, feasible)`` of the target
-    slice at one GPU operating point.
+def _dvfs_opp_slices(space: DesignSpace, platform, dram, table, benchmark):
+    """Per-OPP ``{precision: (seconds, watts, energy, feasible)}`` of the
+    target slice, keyed by operating point.
 
-    Exactly the stacked engine's Opt selection (same argmin over
-    ``seconds × launches``, same accumulation order for the aggregate),
-    over a Mali config moved to the OPP's clock and rails scaled by the
-    OPP's ``f · V²`` factor.  At the table's nominal OPP both are the
-    base objects, so the slice is bitwise the fixed-frequency Opt point
-    of :meth:`DesignSpace.points`.
+    One batched stack call prices the config at every GPU operating
+    point of ``table`` (one row per OPP: the Mali clock moved to the
+    OPP's frequency), each row's watts come from rails scaled by that
+    OPP's ``f · V²`` factor, and the slice is exactly the stacked
+    engine's Opt selection (:meth:`DesignSpace.slice_lanes`: same argmin
+    over ``seconds × launches``, same accumulation order for the
+    aggregate).  At the table's nominal OPP both are the base values,
+    so the slice is bitwise the fixed-frequency Opt point of
+    :meth:`DesignSpace.points`.
     """
     import numpy as np
-    from dataclasses import replace as _replace
 
     from .power import dvfs
 
     mali = platform.mali
-    if opp.frequency_hz != mali.clock_hz:
-        mali = _replace(mali, clock_hz=opp.frequency_hz)
-    rails = dvfs.rails_at(platform.rails, gpu_table=table, gpu_opp=opp)
-    g = space._gpu_stack.rows(mali, dram)
-    watts = stack_watts(
-        rails,
-        ActivityKind.GPU_KERNEL,
-        dram_bandwidth=g.dram_bandwidth,
-        gpu_alu_utilization=g.alu_utilization,
-        gpu_ls_utilization=g.ls_utilization,
+    opps = table.points
+    g = space._gpu_stack.rows(
+        shader_cores=[mali.shader_cores] * len(opps),
+        clock_hz=[opp.frequency_hz for opp in opps],
+        register_file_scale=[mali.register_file_scale] * len(opps),
+        drams=[dram] * len(opps),
     )
-    gpu_iter = g.seconds * space._launches_f
-    masked_watts = np.where(g.feasible, watts, 0.0)
-    agg: dict[str, list] = {}
-    per_bench: dict[str, tuple] = {}
-    for bc in space.groups:
-        span = slice(bc.gpu_start, bc.gpu_stop)
-        feas = g.feasible[span]
-        if feas.size and bool(feas.any()):
-            j = int(np.argmin(gpu_iter[span]))
-            seconds = float(gpu_iter[span][j])
-            lane_watts = float(masked_watts[span][j])
-            energy = seconds * lane_watts
-            ok = True
-        else:
-            seconds, lane_watts, energy, ok = float("inf"), 0.0, float("inf"), False
-        if bc.name == benchmark:
-            per_bench[bc.precision] = (seconds, lane_watts, energy, ok)
-        acc = agg.setdefault(bc.precision, [0.0, 0.0, True])
-        acc[0] += seconds
-        acc[1] += energy
-        acc[2] = acc[2] and ok
-    if benchmark != AGGREGATE:
-        return per_bench
-    out = {}
-    for precision, (seconds, energy, ok) in agg.items():
-        watts_p = energy / seconds if ok and seconds > 0 else 0.0
-        out[precision] = (seconds, watts_p, energy, ok)
-    return out
+    watts = np.stack(
+        [
+            stack_watts(
+                dvfs.rails_at(platform.rails, gpu_table=table, gpu_opp=opp),
+                ActivityKind.GPU_KERNEL,
+                dram_bandwidth=g.dram_bandwidth[r],
+                gpu_alu_utilization=g.alu_utilization[r],
+                gpu_ls_utilization=g.ls_utilization[r],
+            )
+            for r, opp in enumerate(opps)
+        ]
+    )
+    rows = SpaceRows(
+        **space._gpu_lanes(g, watts), cpu_seconds=None, cpu_watts=None, cpu_energy=None
+    )
+    columns = {
+        precision: [col.tolist() for col in lane]
+        for precision, lane in space.slice_lanes(rows, benchmark, "Opt").items()
+    }
+    return {
+        opp: {
+            precision: tuple(col[r] for col in cols)
+            for precision, cols in columns.items()
+        }
+        for r, opp in enumerate(opps)
+    }
 
 
 @dataclass(frozen=True)
@@ -1647,10 +1770,7 @@ def evaluate_dvfs(
         platform = config.platform(space.base)
         dram = platform.dram_model()
         table = dvfs.MALI_T604_OPPS.rescaled(platform.mali.clock_hz)
-        slices = {
-            opp: _dvfs_opp_slices(space, platform, dram, table, opp, benchmark)
-            for opp in table.points
-        }
+        slices = _dvfs_opp_slices(space, platform, dram, table, benchmark)
         idle_w = platform.rails.board_idle_w
         for governor in governors:
             for precision in (p.value for p in precisions):

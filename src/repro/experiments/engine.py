@@ -65,6 +65,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import random
 import signal
 import threading
@@ -283,6 +284,21 @@ class RunTask:
         )
 
 
+#: seconds between a pool worker's checks that its orchestrator lives
+_PARENT_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """Worker watchdog: exit once the orchestrating process is gone.
+
+    A SIGKILLed orchestrator never shuts its pool down; its workers are
+    re-parented (``getppid`` changes) and would otherwise idle forever.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
 def _worker_init(perf_dir: str | None) -> None:
     """Pool initializer: attach the persistent perf tier in the worker.
 
@@ -290,9 +306,16 @@ def _worker_init(perf_dir: str | None) -> None:
     start method gets the same two-tier lane, and harmlessly redundant
     under fork.  Also marks the process as a worker so injected
     ``mode="exit"`` faults (:mod:`repro.experiments.faults`) know they
-    may kill it.
+    may kill it, and starts the daemon thread that ends the worker when
+    its orchestrator dies without shutting the pool down.
     """
     faults.mark_worker()
+    threading.Thread(
+        target=_exit_when_orphaned,
+        args=(os.getppid(),),
+        name="repro-parent-watch",
+        daemon=True,
+    ).start()
     if perf_dir is not None:
         perf.configure(
             config=perf.PerfConfig(enabled=perf.is_enabled(), persist_dir=perf_dir)

@@ -20,7 +20,7 @@ leaks past the overlap (threads cannot always cover both).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .. import perf
 from ..compiler.pipeline import CompiledKernel
@@ -996,29 +996,24 @@ class GpuPricingModel:
 # ---------------------------------------------------------------------------
 # Config-axis stacking (design-space sweeps)
 
-#: MaliConfig fields a :class:`GpuConfigStack` treats as sweepable axes.
-#: Everything else is baked into the stack's hoisted per-cell tables
-#: (issue-cost columns, access-width efficiency, launch overheads), so a
-#: variant config must match the base on every other field.
+#: MaliConfig fields a :class:`GpuConfigStack` takes as per-config
+#: columns.  Everything else is baked into the stack's hoisted per-cell
+#: tables (instruction-cost columns, access-width efficiency, launch
+#: overheads) from the base config, so a design space may vary only
+#: these (``tests/property/test_grid_pricing_identity.py`` holds
+#: :meth:`~repro.calibration.socspace.SoCConfig.platform` to that).
 _STACK_AXES = frozenset({"shader_cores", "clock_hz", "register_file_scale"})
 
 
-def _stack_signature(config: MaliConfig) -> tuple:
-    """The config fields a stack bakes into its hoisted tables."""
-    return tuple(
-        (f.name, getattr(config, f.name))
-        for f in fields(config)
-        if f.name not in _STACK_AXES
-    )
-
-
 class GpuStackRows:
-    """Row arrays of one (config, dram) design point over a cell stack.
+    """Row arrays of k (config, dram) design points over a cell stack.
 
-    One float64 lane per cell, aligned with the stack's cell order.
-    ``feasible`` is False where the kernel no longer fits the config's
-    scaled register file (the facade path raises ``CL_OUT_OF_RESOURCES``
-    there); infeasible lanes carry ``inf`` seconds and zero utilization.
+    ``(k, cells)`` float64 lanes, one row per config in call order,
+    aligned with the stack's cell order; ``dram_bytes`` is the
+    config-independent ``(cells,)`` traffic column.  ``feasible`` is
+    False where the kernel no longer fits the config's scaled register
+    file (the facade path raises ``CL_OUT_OF_RESOURCES`` there);
+    infeasible lanes carry ``inf`` seconds and zero utilization.
     """
 
     __slots__ = (
@@ -1049,19 +1044,21 @@ class GpuConfigStack:
     (:data:`_STACK_AXES`: core count, clock, register-file scale) — the
     instruction-mix slices, DRAM traffic, work-group counts, atomic and
     barrier weights — is hoisted into per-cell NumPy columns once; each
-    :meth:`rows` call then prices one ``(config, dram)`` point with a
-    handful of whole-stack array passes instead of a per-cell Python walk.
+    :meth:`rows` call then prices k ``(config, dram)`` points with a
+    handful of ``(configs × cells)`` array passes.  One config is the
+    k = 1 call.
 
     Bitwise contract: every array expression is the elementwise twin of
     the scalar model — same operand values, same IEEE-754 operation
     order (``np.sqrt``/``np.ceil``/``np.maximum`` match their ``math``
     counterparts lane-wise; the first-wins roofline max equals the
-    ``np.maximum`` chain by value) — so each lane equals the
-    corresponding :class:`GpuLaunchTiming` field from pricing that cell
-    through a per-config :class:`GpuPricingModel` facade (asserted in
-    ``tests/property/test_grid_pricing_identity.py``).  The stack and
-    the facades also share the process-global traffic tables, keyed by
-    cache/DRAM config values.
+    ``np.maximum`` chain by value; per-config scalars such as
+    ``log(cores)`` stay on ``math`` and enter as columns) — so each lane
+    equals the corresponding :class:`GpuLaunchTiming` field from pricing
+    that cell through a per-config :class:`GpuPricingModel` facade
+    (asserted in ``tests/property/test_grid_pricing_identity.py``).  The
+    stack and the facades also share the process-global traffic tables,
+    keyed by cache/DRAM config values.
     """
 
     def __init__(
@@ -1080,7 +1077,6 @@ class GpuConfigStack:
         self.config = config
         self.dram = dram
         self.caches = caches
-        self._sig = _stack_signature(config)
         self._model = GpuPricingModel(config, dram, caches)
 
         group_ord: dict[tuple[int, int, int], int] = {}
@@ -1127,26 +1123,31 @@ class GpuConfigStack:
         self._access_eff = eff
         self._dram_bytes = dram_bytes
 
-        self._n_f = np.asarray([float(c.n_items) for c in cells])
+        n_f = np.asarray([float(c.n_items) for c in cells])
         self._local = np.asarray([c.local_size for c in cells], dtype=np.int64)
-        self._maxlocal_f = np.asarray([float(max(c.local_size, 1)) for c in cells])
+        maxlocal_f = np.asarray([float(max(c.local_size, 1)) for c in cells])
         # work-group count is config-independent: same int the scalar
         # distribute() computes, converted exactly to float64
         self._n_wg_f = np.asarray(
             [float(max(1, math.ceil(c.n_items / c.local_size))) for c in cells]
         )
-        self._atomic_w = np.asarray(
-            [c.compiled.mix.atomic_contention_weight for c in cells]
-        )
-        self._atomic_wl = np.asarray(
+        self._cv = np.asarray([c.traits.imbalance_cv for c in cells])
+        # config-independent operation prefixes of the atomic, barrier
+        # and schedule chains (base-config cycle costs; the per-config
+        # core/clock divisions follow in rows(), in the scalar order)
+        atomic_w = np.asarray([c.compiled.mix.atomic_contention_weight for c in cells])
+        atomic_wl = np.asarray(
             [c.compiled.mix.atomic_contention_weight_local for c in cells]
         )
-        self._barriers = np.asarray([c.compiled.mix.barriers for c in cells])
-        self._cv = np.asarray([c.traits.imbalance_cv for c in cells])
+        barriers = np.asarray([c.compiled.mix.barriers for c in cells])
+        self._atomic_cycles = (atomic_w * n_f) * config.atomic_cycles
+        self._atomic_local_cycles = (atomic_wl * n_f) * config.atomic_local_cycles
+        self._barrier_cycles = (barriers * n_f) / maxlocal_f * config.barrier_cycles
+        self._schedule_cycles = self._n_wg_f * config.wg_schedule_cycles
 
         # per-scale (feasible, threads-per-core) group arrays; per-DRAM
-        # per-cell base transfer seconds; per-scale hiding factors for
-        # the floor_seconds pruning bound
+        # per-cell base transfer seconds; per-scale per-cell
+        # (feasible, hiding, bandwidth hiding) rows
         self._tpc_cache: dict[float, tuple] = {}
         self._transfer_cache: dict = {}
         self._hiding_cache: dict[float, tuple] = {}
@@ -1201,16 +1202,17 @@ class GpuConfigStack:
             )[self._gidx]
         return found
 
-    # ------------------------------------------------------------------
     def _hiding_for(self, scale: float) -> tuple:
-        """Per-cell (hiding, bandwidth hiding, dram seconds divisor) at
-        one register-file scale — exactly the :meth:`rows` occupancy
-        chain, which depends on the config only through the scale."""
+        """Per-cell (feasible, hiding, bandwidth hiding) at one
+        register-file scale — ``derive_occupancy`` vectorized (resident
+        threads, then the two sqrt hiding factors; ``int(x)`` on a
+        positive float == floor), which depends on the config only
+        through the scale."""
         import numpy as np
 
         found = self._hiding_cache.get(scale)
         if found is None:
-            _, tpc_g = self._tpc_for(scale)
+            feas_g, tpc_g = self._tpc_for(scale)
             tpc = tpc_g[self._gidx]
             wg_groups = tpc // self._local
             resident = np.where(
@@ -1231,7 +1233,9 @@ class GpuConfigStack:
                     MIN_HIDING, np.sqrt(res_f / float(FULL_BANDWIDTH_THREADS))
                 ),
             )
-            found = self._hiding_cache[scale] = (hiding, bandwidth_hiding)
+            found = self._hiding_cache[scale] = (
+                feas_g[self._gidx], hiding, bandwidth_hiding
+            )
         return found
 
     def floor_seconds(
@@ -1282,7 +1286,7 @@ class GpuConfigStack:
         if register_file_scale is None:
             floor = np.maximum(np.maximum(arith, ls), transfer[None, :])
         else:
-            hiding, bandwidth_hiding = self._hiding_for(register_file_scale)
+            _, hiding, bandwidth_hiding = self._hiding_for(register_file_scale)
             # transfer is 0.0 exactly where there is no DRAM traffic,
             # so the division chain matches rows()'s literal 0.0 lane
             dram_s = transfer / bandwidth_hiding / self._access_eff
@@ -1290,53 +1294,42 @@ class GpuConfigStack:
                 np.maximum(arith / hiding[None, :], ls / hiding[None, :]),
                 dram_s[None, :],
             )
-            schedule_s = (
-                self._n_wg_f[None, :] * self.config.wg_schedule_cycles / clock[:, None]
-            )
+            schedule_s = self._schedule_cycles[None, :] / clock[:, None]
             floor = (floor + schedule_s) + self.config.launch_overhead_s
         return floor[0] if scalar else floor
 
     # ------------------------------------------------------------------
-    def rows(self, config: MaliConfig, dram: DramModel) -> GpuStackRows:
-        """Price every cell under one ``(config, dram)`` design point."""
+    def rows(
+        self, *, shader_cores, clock_hz, register_file_scale, drams
+    ) -> GpuStackRows:
+        """Price every cell under k design points, ``(k, cells)`` rows.
+
+        The stacked axes come in as aligned per-config sequences: core
+        counts, shader clocks, register-file scales and each config's
+        :class:`~repro.memory.dram.DramModel` (share one object per
+        distinct DRAM: its transfer row is gathered, not recomputed).
+        """
         import numpy as np
 
-        if _stack_signature(config) != self._sig:
-            raise ValueError(
-                "config differs from the stack base outside the stacked axes "
-                f"({', '.join(sorted(_STACK_AXES))})"
-            )
-        feas_g, tpc_g = self._tpc_for(config.register_file_scale)
-        feasible = feas_g[self._gidx]
-        tpc = tpc_g[self._gidx]
-        transfer = self._transfer_for(dram)
+        from ..pricing import rows_by_key
 
-        clock = config.clock_hz
-        n_cores = config.shader_cores
-        cores_f = float(n_cores)
-        log_cores = math.log(max(n_cores, 2))
-        arith_denom = float(n_cores * config.arith_pipes_per_core)
-        ls_denom = float(n_cores * config.ls_pipes_per_core)
+        config = self.config
+        cores = list(shader_cores)
+        if not cores:
+            raise ValueError("rows() needs at least one config")
 
-        # derive_occupancy, vectorized: resident threads then the two
-        # sqrt hiding factors (int(x) on a positive float == floor)
-        wg_groups = tpc // self._local
-        resident = np.where(
-            wg_groups >= 1,
-            wg_groups * self._local,
-            np.maximum((tpc * 0.6).astype(np.int64), 1),
+        def column(values):
+            return np.asarray(values, dtype=np.float64)[:, None]
+
+        cores_f = column([float(n) for n in cores])
+        clock = column(clock_hz)
+        log_cores = column([math.log(max(n, 2)) for n in cores])
+        arith_denom = column([float(n * config.arith_pipes_per_core) for n in cores])
+        ls_denom = column([float(n * config.ls_pipes_per_core) for n in cores])
+        feasible, hiding, bandwidth_hiding = rows_by_key(
+            register_file_scale, self._hiding_for
         )
-        res_f = resident.astype(np.float64)
-        hiding = np.where(
-            resident >= FULL_HIDING_THREADS,
-            1.0,
-            np.maximum(MIN_HIDING, np.sqrt(res_f / float(FULL_HIDING_THREADS))),
-        )
-        bandwidth_hiding = np.where(
-            resident >= FULL_BANDWIDTH_THREADS,
-            1.0,
-            np.maximum(MIN_HIDING, np.sqrt(res_f / float(FULL_BANDWIDTH_THREADS))),
-        )
+        transfer = rows_by_key(drams, self._transfer_for)
 
         # distribute(), vectorized (per_core > 0 always: n_wg >= 1)
         per_core = self._n_wg_f / cores_f
@@ -1347,7 +1340,7 @@ class GpuConfigStack:
             1.0,
         )
         imbalance = quantization * ragged
-        schedule_s = self._n_wg_f * config.wg_schedule_cycles / clock
+        schedule_s = self._schedule_cycles / clock
 
         arith_s = self._arith_raw / arith_denom / clock / hiding
         ls_s = self._ls_raw / ls_denom / clock / hiding
@@ -1355,16 +1348,8 @@ class GpuConfigStack:
         # chain lands on the scalar path's literal 0.0
         dram_s = transfer / bandwidth_hiding / self._access_eff
 
-        atomic_s = (
-            (self._atomic_w * self._n_f) * config.atomic_cycles
-            + (self._atomic_wl * self._n_f) * config.atomic_local_cycles / cores_f
-        ) / clock
-        barrier_s = (
-            (self._barriers * self._n_f) / self._maxlocal_f
-            * config.barrier_cycles
-            / clock
-            / cores_f
-        )
+        atomic_s = (self._atomic_cycles + self._atomic_local_cycles / cores_f) / clock
+        barrier_s = self._barrier_cycles / clock / cores_f
 
         peak = np.maximum(np.maximum(np.maximum(arith_s, ls_s), dram_s), atomic_s)
         leak = config.overlap_leak * ((((arith_s + ls_s) + dram_s) + atomic_s) - peak)

@@ -108,7 +108,8 @@ class OnlineFrontier:
       can dominate a new point is its staircase predecessor), then a
       contiguous deletion of the now-dominated suffix run;
     * :meth:`strictly_dominates` — the pruning query: is a hypothetical
-      ``(seconds, energy)`` strictly dominated by a current member?
+      ``(seconds, energy)`` (or an array of them) strictly dominated by
+      a current member?
 
     The final set is *order-independent* — whatever the arrival order,
     :meth:`points` equals ``skyline(everything added)``, same ordering
@@ -130,7 +131,7 @@ class OnlineFrontier:
         """The current frontier, sorted by the key (a fresh tuple)."""
         return tuple(self._points)
 
-    def strictly_dominates(self, seconds, energy) -> bool:
+    def strictly_dominates(self, seconds, energy):
         """Is ``(seconds, energy)`` strictly dominated by the frontier?
 
         Bisecting with the bare 2-tuple lands on the first member with
@@ -138,10 +139,31 @@ class OnlineFrontier:
         prefix compares below any 4-tuple key extending it), so the
         predecessor is lex-smaller; lex-smaller plus ``e' <= energy``
         is exactly strict domination.
+
+        Aligned arrays of queries return a bool array, lane for lane the
+        scalar decision: on the staircase every member sharing a
+        ``seconds`` value shares its energy, so the lexicographic bisect
+        is a ``searchsorted`` on seconds that steps past the equal-seconds
+        run iff its energy is below the query's.
         """
         keys = self._keys
-        i = bisect_left(keys, (seconds, energy))
-        return i > 0 and keys[i - 1][1] <= energy
+        if isinstance(seconds, (int, float)) and isinstance(energy, (int, float)):
+            i = bisect_left(keys, (seconds, energy))
+            return i > 0 and keys[i - 1][1] <= energy
+
+        import numpy as np
+
+        seconds = np.asarray(seconds, dtype=np.float64)
+        energy = np.asarray(energy, dtype=np.float64)
+        if not keys:
+            return np.zeros(np.broadcast(seconds, energy).shape, dtype=bool)
+        front_s = np.fromiter((k[0] for k in keys), np.float64, len(keys))
+        front_e = np.fromiter((k[1] for k in keys), np.float64, len(keys))
+        lo = np.searchsorted(front_s, seconds, side="left")
+        hi = np.searchsorted(front_s, seconds, side="right")
+        run_below = (hi > lo) & (front_e[np.minimum(lo, len(keys) - 1)] < energy)
+        i = np.where(run_below, hi, lo)
+        return (i > 0) & (front_e[np.maximum(i - 1, 0)] <= energy)
 
     def add(self, p) -> bool:
         """Offer one point; returns True iff it joined the frontier.

@@ -122,6 +122,7 @@ def stack_watts(
     cpu_ipc=None,
     gpu_alu_utilization=None,
     gpu_ls_utilization=None,
+    rail_scale=1.0,
 ):
     """Vectorized twin of :meth:`PowerRailConfig.power` over row arrays.
 
@@ -131,6 +132,14 @@ def stack_watts(
     bit for bit.  ``active_cpu_cores`` lanes must already be >= 1 (the
     scalar ``max(cores, 1)`` clamp is the caller's job when a lane could
     be zero).
+
+    ``rail_scale`` (a scalar, or a ``(k, 1)`` column over ``(k, cells)``
+    rows) scales the dynamic coefficients — CPU core, GPU pipes, host
+    polling — per config: each is ``coefficient × rail_scale``, the same
+    product :meth:`~repro.calibration.socspace.SoCConfig.platform`
+    computes, so a row equals pricing under that config's rails.  The
+    board floor and DRAM energy per byte stay unscaled; the default
+    ``1.0`` leaves every coefficient bit for bit.
     """
     import numpy as np
 
@@ -145,16 +154,19 @@ def stack_watts(
         if np.any(ipc < 0):
             raise ValueError("cpu_ipc must be >= 0")
         cores = np.maximum(np.asarray(active_cpu_cores), 1)
-        return base + cores * (rails.cpu_core_base_w + rails.cpu_core_ipc_w * ipc)
+        return base + cores * (
+            rails.cpu_core_base_w * rail_scale
+            + (rails.cpu_core_ipc_w * rail_scale) * ipc
+        )
     if kind == ActivityKind.GPU_KERNEL:
         alu = np.asarray(gpu_alu_utilization)
         ls = np.asarray(gpu_ls_utilization)
         if np.any(alu < 0) or np.any(ls < 0):
             raise ValueError("GPU pipe utilizations must be >= 0")
         return (
-            ((base + rails.host_polling_w) + rails.gpu_base_w)
-            + rails.gpu_alu_w * alu
-        ) + rails.gpu_ls_w * ls
+            ((base + rails.host_polling_w * rail_scale) + rails.gpu_base_w * rail_scale)
+            + (rails.gpu_alu_w * rail_scale) * alu
+        ) + (rails.gpu_ls_w * rail_scale) * ls
     raise ValueError(f"unknown activity kind {kind!r}")
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "PricingModel",
     "TraceCell",
     "TransferCell",
+    "rows_by_key",
 ]
 
 
@@ -71,3 +72,22 @@ class PricingModel(Protocol):
     def price_one(self, cell):
         """The row a one-element ``price`` would return."""
         ...  # pragma: no cover - protocol
+
+
+def rows_by_key(keys, table):
+    """Stack one table row per key: ``table(key)`` gathered to ``(k, cells)``.
+
+    The config-axis stacks call this with one key per config (a DRAM
+    model, a register-file scale): ``table`` runs once per distinct key
+    and its per-cell row is indexed out to every config sharing it, so
+    each lane is the very value the single-key table holds.  A tuple
+    result gathers component-wise.
+    """
+    import numpy as np
+
+    slots: dict = {}
+    index = [slots.setdefault(key, len(slots)) for key in keys]
+    found = [table(key) for key in slots]
+    if isinstance(found[0], tuple):
+        return tuple(np.stack(parts)[index] for parts in zip(*found))
+    return np.stack(found)[index]

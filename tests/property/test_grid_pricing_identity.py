@@ -155,7 +155,111 @@ def test_random_soc_configs_stacked_rows_match_facade(knob_sets):
     perf.reset()
     space = DesignSpace(benchmarks=("vecop", "red"), scale=0.1)
     for config in configs:
-        _assert_rows_bitwise(space.stacked_rows(config), space.facade_rows(config))
+        _assert_rows_bitwise(space.stacked_rows([config]), space.facade_rows(config))
+
+
+_MIXED_KNOBS = st.fixed_dictionaries(
+    {
+        "gpu_cores": st.sampled_from((1, 2, 3, 4, 8, 16)),
+        "gpu_clock_hz": st.sampled_from((300e6, 416e6, 533e6, 1e9)),
+        "cpu_cores": st.sampled_from((1, 2, 4, 8)),
+        "cpu_clock_hz": st.sampled_from((1.0e9, 1.7e9, 2.5e9)),
+        "dram_gbps": st.sampled_from((6.4, 12.8, 16.5, 25.6)),
+        # 0.125 leaves no nbody DP candidate feasible
+        "register_file_scale": st.sampled_from((0.125, 0.25, 0.5, 1.0, 2.0, 4.0)),
+        "rail_scale": st.sampled_from((0.5, 0.75, 1.0, 2.0, 3.0)),
+    }
+)
+
+
+@pytest.fixture(scope="module")
+def mixed_space():
+    from repro.designspace import DesignSpace
+
+    perf.reset()
+    return DesignSpace(benchmarks=("vecop", "nbody"), scale=0.1)
+
+
+def _row(rows, i):
+    return rows.take([i])
+
+
+@given(knob_sets=st.lists(_MIXED_KNOBS, min_size=1, max_size=6))
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_batched_rows_match_facade_per_config(mixed_space, knob_sets):
+    """One batched call over configs mixing every stacked axis (DRAM,
+    register file — fully infeasible included — rails, cores, clocks):
+    each row is bitwise that config's facade row, and bitwise its own
+    k = 1 call."""
+    from repro.calibration.socspace import SoCConfig
+
+    configs = [SoCConfig(name=f"m{i}", **knobs) for i, knobs in enumerate(knob_sets)]
+    batched = mixed_space.stacked_rows(configs)
+    assert batched.gpu_seconds.shape == (len(configs), len(mixed_space.gpu_cells))
+    assert batched.cpu_seconds.shape == (len(configs), len(mixed_space.cpu_cells))
+    for i, config in enumerate(configs):
+        _assert_rows_bitwise(_row(batched, i), mixed_space.facade_rows(config))
+        _assert_rows_bitwise(_row(batched, i), mixed_space.stacked_rows([config]))
+
+
+def test_fully_infeasible_config_in_a_batch(mixed_space):
+    """A register file no nbody DP candidate fits: that group's span is
+    all-infeasible (inf seconds) in its row, its Opt point infeasible,
+    the neighbouring config's row untouched — both rows still equal to
+    the facade's."""
+    import numpy as np
+
+    from repro.calibration.socspace import SoCConfig
+
+    configs = [
+        SoCConfig(name="tiny", register_file_scale=0.125, dram_gbps=6.4),
+        SoCConfig(name="base"),
+    ]
+    batched = mixed_space.stacked_rows(configs)
+    group = next(
+        bc for bc in mixed_space.groups
+        if bc.name == "nbody" and bc.precision == "double"
+    )
+    span = slice(group.gpu_start, group.gpu_stop)
+    assert not batched.gpu_feasible[0, span].any()
+    assert np.isinf(batched.gpu_seconds[0, span]).all()
+    assert batched.gpu_feasible[1, span].all()
+    for i, config in enumerate(configs):
+        _assert_rows_bitwise(_row(batched, i), mixed_space.facade_rows(config))
+    opt = [
+        p for p in mixed_space.points(configs, batched)
+        if (p.benchmark, p.precision, p.version) == ("nbody", "double", "Opt")
+    ]
+    assert [p.feasible for p in opt] == [False, True]
+
+
+@given(knobs=_MIXED_KNOBS)
+@settings(max_examples=50, deadline=None)
+def test_platform_varies_only_stacked_axes(knobs):
+    """``SoCConfig.platform()`` changes the Mali and A15 configs only along
+    the axes the stacks take as columns — every other field is the base
+    value the stacks bake into their hoisted tables — so the batched
+    path needs no per-config signature check."""
+    from dataclasses import fields
+
+    from repro.calibration.exynos5250 import default_platform
+    from repro.calibration.socspace import SoCConfig
+    from repro.cpu.pricing import _CPU_STACK_AXES
+    from repro.mali.timing import _STACK_AXES
+
+    base = default_platform()
+    platform = SoCConfig(name="x", **knobs).platform(base)
+    for derived, stock, axes in (
+        (platform.mali, base.mali, _STACK_AXES),
+        (platform.cpu, base.cpu, _CPU_STACK_AXES),
+    ):
+        for f in fields(stock):
+            if f.name not in axes:
+                assert getattr(derived, f.name) == getattr(stock, f.name), f.name
 
 
 def test_design_space_jobs_pool_matches_inline():

@@ -117,6 +117,41 @@ def test_online_dominance_query_matches_definition(points, probe):
     assert frontier.strictly_dominates(s, e) == expect
 
 
+_PROBE_COORDS = st.one_of(_COORDS, st.just(float("inf")))
+
+
+@given(
+    points=_CLOUDS,
+    probes=st.lists(st.tuples(_PROBE_COORDS, _PROBE_COORDS), min_size=0, max_size=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_array_dominance_query_matches_scalar(points, probes):
+    """The array form of ``strictly_dominates`` is the scalar bisect lane
+    by lane: ties, duplicated probes, ``inf`` on either axis and the
+    empty frontier included."""
+    import numpy as np
+
+    frontier = OnlineFrontier(points)
+    s = np.asarray([p[0] for p in probes], dtype=np.float64)
+    e = np.asarray([p[1] for p in probes], dtype=np.float64)
+    got = frontier.strictly_dominates(s, e)
+    assert got.dtype == bool and got.shape == s.shape
+    assert got.tolist() == [frontier.strictly_dominates(a, b) for a, b in probes]
+
+
+def test_array_dominance_query_edges():
+    import numpy as np
+
+    inf = float("inf")
+    s = np.asarray([0.25, 1.0, 1.0, 2.0, inf, inf])
+    e = np.asarray([0.25, 2.0, 3.0, 2.0, 2.0, inf])
+    assert OnlineFrontier().strictly_dominates(s, e).tolist() == [False] * 6
+    twins = OnlineFrontier([_pt(0, 1.0, 2.0), _pt(1, 1.0, 2.0)])
+    assert twins.strictly_dominates(s, e).tolist() == [
+        twins.strictly_dominates(a, b) for a, b in zip(s.tolist(), e.tolist())
+    ] == [False, False, True, True, True, True]
+
+
 @given(points=_CLOUDS)
 @settings(max_examples=100, deadline=None)
 def test_online_add_reports_membership(points):
@@ -240,3 +275,45 @@ def test_opt_bounds_are_true_lower_bounds(small_space_results):
             assert t_lb[i] <= actual.seconds, (config.name, precision)
             assert e_lb[i] <= actual.energy_j, (config.name, precision)
             assert math.isfinite(t_lb[i]) and math.isfinite(e_lb[i])
+
+
+@given(
+    cuts=st.lists(st.integers(1, 35), min_size=0, max_size=5, unique=True),
+    benchmark=st.sampled_from((AGGREGATE, "vecop", "hist")),
+)
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_opt_bounds_one_pass_equals_per_chunk(bound_space, cuts, benchmark):
+    """One ``opt_bounds`` call over a shard is bitwise the per-chunk calls
+    on its slices, whatever the chunk boundaries (the streamed sweep
+    bounds a shard once and slices per chunk)."""
+    import numpy as np
+
+    space, configs = bound_space
+    whole = space.opt_bounds(configs, benchmark=benchmark)
+    edges = [0] + sorted(cuts) + [len(configs)]
+    for lo, hi in zip(edges, edges[1:]):
+        part = space.opt_bounds(configs[lo:hi], benchmark=benchmark)
+        assert part.keys() == whole.keys()
+        for precision, (t, e) in part.items():
+            t_all, e_all = whole[precision]
+            assert np.array_equal(t.view(np.uint64), t_all[lo:hi].view(np.uint64))
+            assert np.array_equal(e.view(np.uint64), e_all[lo:hi].view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def bound_space():
+    from repro.calibration.socspace import config_grid
+    from repro.designspace import DesignSpace
+
+    configs = config_grid(
+        gpu_cores=(2, 4, 8),
+        gpu_clock_hz=(416e6, 533e6),
+        dram_gbps=(6.4, 12.8),
+        rail_scale=(0.5, 2.0),
+        register_file_scale=(0.125, 1.0),
+    )[::-1]
+    return DesignSpace(benchmarks=("vecop", "hist"), scale=0.1), configs

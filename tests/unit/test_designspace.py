@@ -302,7 +302,7 @@ def test_equal_energy_and_equal_time_queries():
 def test_opt_point_matches_tuner_estimate_exactly():
     space = DesignSpace(benchmarks=("vecop",), precisions=(Precision.SINGLE,),
                         scale=0.25)
-    pts = space.points(EXYNOS_5250, space.stacked_rows(EXYNOS_5250))
+    pts = space.points([EXYNOS_5250], space.stacked_rows([EXYNOS_5250]))
     opt = next(p for p in pts if p.version == "Opt" and p.benchmark == "vecop")
     from repro.pricing.grid import estimate_opt_seconds
 
@@ -348,7 +348,7 @@ def test_evaluate_space_validates_inputs():
         evaluate_space((EXYNOS_5250, SoCConfig(name="exynos5250", gpu_cores=8)))
     space = DesignSpace(benchmarks=("vecop",), scale=0.1)
     with pytest.raises(ValueError):
-        space.rows(EXYNOS_5250, engine="quantum")
+        space.rows([EXYNOS_5250], engine="quantum")
 
 
 def test_opt_over_serial_matches_whatif_and_sensitivity():

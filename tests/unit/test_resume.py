@@ -38,6 +38,32 @@ GRID = dict(benchmarks=("vecop", "red"), versions=TWO_VERSIONS, scale=0.02)
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
+def _child_pids(parent: int) -> list[int]:
+    """Live direct children of ``parent``, read from ``/proc``."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        # the command name is parenthesised and may hold spaces
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if int(ppid) == parent and state not in "ZX":
+            pids.append(int(entry.name))
+    return pids
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` still runs (an unreaped zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in "ZX"
+
+
 def clean_json(spec: CampaignSpec) -> str:
     return Campaign(spec).run(jobs=1).to_json()
 
@@ -173,6 +199,7 @@ class TestResumeEquivalence:
         )
         proc = subprocess.Popen([sys.executable, str(script)])
         journal_path = journal_dir / "journal.jsonl"
+        workers: list[int] = []
         try:
             deadline = time.monotonic() + 120
             while proc.poll() is None and time.monotonic() < deadline:
@@ -181,12 +208,18 @@ class TestResumeEquivalence:
                 except FileNotFoundError:
                     done = 0
                 if done >= kill_after:
+                    workers = _child_pids(proc.pid)
                     proc.send_signal(signal.SIGKILL)
                     break
                 time.sleep(0.002)
         finally:
             proc.kill()
             proc.wait()
+        # the orphaned pool workers notice the dead parent and exit
+        gone_by = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < gone_by:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _running(pid)], workers
         # regardless of where the kill landed (or whether the child won
         # the race and finished), the journal resumes to identical bytes
         resumed = Campaign.resume(journal_dir)
