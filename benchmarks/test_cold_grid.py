@@ -53,11 +53,12 @@ from repro.benchmarks.base import Precision, cpu_pricing_inputs
 from repro.benchmarks.registry import create
 from repro.calibration.exynos5250 import default_platform
 from repro.compiler.pipeline import compile_kernel
-from repro.cpu.openmp import _time_openmp_scalar, time_openmp
-from repro.cpu.serial import _time_serial_scalar, time_serial
-from repro.mali.timing import _time_launch_uncached, time_launch
+from repro.cpu.openmp import time_openmp
+from repro.cpu.serial import time_serial
+from repro.mali.timing import time_launch
 from repro.ocl.driver import default_quirks, driver_local_size
 from repro.pricing import MODE_OPENMP, MODE_SERIAL, CpuCell, GpuLaunchCell
+from tests.oracles import _time_launch_uncached, _time_openmp_scalar, _time_serial_scalar
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 #: seconds the PR-5 revision took on this grid (measured out-of-band in

@@ -9,11 +9,11 @@ launch cell) and prices a 64-point SoC design space two ways:
   config-invariant quantity at build time, so the whole space costs a
   few ``(configs × cells)`` NumPy passes plus
   :func:`repro.power.rails.stack_watts`;
-* **facade loop** — :meth:`~repro.designspace.DesignSpace.facade_rows`
+* **facade loop** — :func:`tests.oracles.facade_rows`
   per config: a fresh ``PlatformPricing`` facade per SoC, the cost
   profile of running the PR-6 batched grid once per config.
 
-Every row is bitwise-identical between the engines (asserted below and
+Every row is bitwise-identical between the two (asserted below and
 in ``tests/property/test_grid_pricing_identity.py``, including the
 register-exhaustion infeasible lanes), so the speedup is pure
 evaluation-strategy win.  The in-test floor matches the acceptance
@@ -21,9 +21,9 @@ criterion (≥8× over ≥64 configs); the committed
 ``BENCH_design_space.json`` at the repo root records the full-scale
 number (see EXPERIMENTS.md).
 
-The stack build itself (compiles + hoisting) is shared by both engines
+The stack build itself (compiles + hoisting) is shared by both paths
 and excluded from the timed region — a design-space sweep pays it once
-regardless of engine — but is recorded as ``space_build_s``.
+either way — but is recorded as ``space_build_s``.
 
 Regenerate with::
 
@@ -39,6 +39,7 @@ import numpy as np
 from repro import perf
 from repro.calibration.socspace import default_space
 from repro.designspace import DesignSpace
+from tests.oracles import facade_rows
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 ROUNDS = 7
@@ -83,7 +84,7 @@ def test_design_space_facade_loop(benchmark):
     """The same configs through per-config ``PlatformPricing`` facades."""
     space, configs, _ = _build_space()
     rows = benchmark.pedantic(
-        lambda: [space.facade_rows(c) for c in configs],
+        lambda: [facade_rows(space, c) for c in configs],
         setup=perf.reset,
         rounds=ROUNDS,
         iterations=1,
@@ -105,7 +106,7 @@ def test_design_space_speedup_and_identity(benchmark):
 
     perf.reset()
     t0 = time.perf_counter()
-    facade_rows = [space.facade_rows(c) for c in configs]
+    facade = [facade_rows(space, c) for c in configs]
     facade_s = time.perf_counter() - t0
 
     stacked_rows = benchmark.pedantic(
@@ -115,7 +116,7 @@ def test_design_space_speedup_and_identity(benchmark):
     )
     stacked_s = benchmark.stats.stats.min
 
-    for i, (config, f) in enumerate(zip(configs, facade_rows)):
+    for i, (config, f) in enumerate(zip(configs, facade)):
         assert _rows_bitwise_equal(stacked_rows.take([i]), f), config.name
     speedup = facade_s / stacked_s
     benchmark.extra_info["scale"] = SCALE

@@ -13,7 +13,7 @@ bandwidths x 8 rail scales) over the full benchmark suite two ways:
   O(chunk + kept + frontier) instead of O(space).
 * **materialize + O(n^2) reference** — the PR-7 path: every point of
   every config held in memory, then the all-pairs
-  :func:`~repro.designspace.frontier_reference` scan per precision.
+  :func:`tests.oracles.frontier_reference` scan per precision.
 
 Both must produce the identical target-slice frontier (also at
 ``jobs=4``, where each worker streams its shard through its own online
@@ -39,7 +39,8 @@ import time
 
 from repro import perf
 from repro.calibration.socspace import config_grid
-from repro.designspace import DesignSpace, evaluate_space, frontier_reference
+from repro.designspace import DesignSpace, evaluate_space
+from tests.oracles import frontier_reference
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 ROUNDS = 5

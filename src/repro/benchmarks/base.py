@@ -420,11 +420,9 @@ class Benchmark(abc.ABC):
         """One-options-point pricing handle for the autotuner.
 
         Compiles the kernel once and builds one
-        :class:`~repro.mali.timing.LaunchPricer`; the returned callable
-        prices a single local size through the pricer's shared
-        vectorized tables, so sweeping every surviving local size of an
-        options group costs one table build instead of one full model
-        walk per candidate.  Raises the same compiler/CL errors as a
+        :class:`~repro.mali.timing.LaunchPricer` (its memo-key prefix
+        hoisted); the returned callable prices a single local size
+        through it.  Raises the same compiler/CL errors as a
         real build+launch (register-file exhaustion and friends), which
         is how infeasible candidates are discarded — the mechanism
         behind the paper's double-precision Opt results.  Multi-kernel

@@ -17,9 +17,10 @@ evaluates the hypercube as *stacked* NumPy evaluations instead:
 * board power comes from :func:`~repro.power.rails.stack_watts` over the
   row arrays.
 
-Every lane is bitwise-identical to pricing the same cell through the
-facade of that config's platform (``facade_rows`` *is* that loop, kept
-as the reference engine and the benchmark baseline).
+The stacks are the one Mali and A15 timing kernel: the per-config
+:class:`~repro.pricing.grid.PlatformPricing` facade prices its board
+through the same stacks as a one-config row, so every lane here is the
+value that config's own platform would report.
 
 The **Opt** version of a (config, benchmark, precision) point is the
 feasible candidate minimizing ``seconds × launches`` — the autotuner's
@@ -61,12 +62,11 @@ from .benchmarks.base import Precision, cpu_pricing_inputs
 from .benchmarks.registry import PAPER_ORDER, create
 from .calibration.exynos5250 import ExynosPlatform, default_platform
 from .calibration.socspace import EXYNOS_5250, SoCConfig, default_space
-from .compiler.regalloc import fits_register_file
 from .errors import CLError, CompilerError
 from .experiments.trace import JsonlTraceSink, Tracer, TraceSink
-from .pareto import OnlineFrontier, point_key, skyline, skyline_reference
-from .power.rails import Activity, ActivityKind, gpu_floor_watts, stack_watts
-from .pricing.cells import MODE_OPENMP, MODE_SERIAL, CpuCell, GpuLaunchCell, TraceCell
+from .pareto import OnlineFrontier, point_key, skyline
+from .power.rails import ActivityKind, stack_watts
+from .pricing.cells import MODE_OPENMP, MODE_SERIAL, CpuCell, GpuLaunchCell
 
 #: version labels of a design point (Opt = best feasible GPU candidate)
 VERSIONS = ("Serial", "OpenMP", "Opt")
@@ -149,10 +149,8 @@ class DesignSpace:
     whose kernels cannot allocate at all — the hard
     ``CL_OUT_OF_RESOURCES`` limit — are dropped for every config, same
     as the tuner) and builds the GPU/CPU config stacks.
-    ``stacked_rows`` then prices k configs in a few ``(configs × cells)``
-    array passes; ``facade_rows`` prices one config's identical cells
-    through its :class:`~repro.pricing.grid.PlatformPricing` facade,
-    bitwise equal lane for lane.
+    :meth:`rows` then prices k configs in a few ``(configs × cells)``
+    array passes.
     """
 
     def __init__(
@@ -344,106 +342,9 @@ class DesignSpace:
             cpu_energy=c.seconds * cpu_watts,
         )
 
-    def facade_rows(self, config: SoCConfig) -> SpaceRows:
-        """Row arrays of one config via its per-platform pricing facade.
-
-        The loop-over-facades reference engine: one
-        :class:`~repro.pricing.grid.PlatformPricing` per config, cells
-        pre-filtered by the same register-file predicate the stack uses,
-        power through the facade's batched trace pricing.  Returns a
-        single ``(1, cells)`` row.
-        """
-        import numpy as np
-
-        platform = config.platform(self.base)
-        pricing = platform.pricing_model()
-        rf_scale = platform.mali.register_file_scale
-
-        cpu_rows = pricing.cpu.price(self.cpu_cells)
-        feasible = [
-            fits_register_file(cell.compiled.registers, rf_scale)
-            for cell in self.gpu_cells
-        ]
-        idx = [i for i, ok in enumerate(feasible) if ok]
-        timings = pricing.gpu.price([self.gpu_cells[i] for i in idx])
-
-        trace_cells = []
-        for i, t in zip(idx, timings):
-            duration = t.seconds * self.gpu_cells[i].traits.launches
-            trace_cells.append(
-                TraceCell(
-                    (
-                        Activity(
-                            kind=ActivityKind.GPU_KERNEL,
-                            duration_s=duration,
-                            gpu_alu_utilization=t.alu_utilization,
-                            gpu_ls_utilization=t.ls_utilization,
-                            dram_bandwidth=t.dram_bandwidth,
-                        ),
-                    )
-                )
-            )
-        for r in cpu_rows:
-            trace_cells.append(
-                TraceCell(
-                    (
-                        Activity(
-                            kind=ActivityKind.CPU,
-                            duration_s=r.seconds,
-                            active_cpu_cores=r.active_cores,
-                            cpu_ipc=r.ipc,
-                            dram_bandwidth=r.dram_bandwidth,
-                        ),
-                    )
-                )
-            )
-        traces = pricing.power.price(trace_cells)
-
-        width = len(self.gpu_cells)
-        gpu_feasible = np.asarray(feasible, dtype=bool)
-        gpu_seconds = np.full(width, np.inf)
-        gpu_iter = np.full(width, np.inf)
-        gpu_watts = np.zeros(width)
-        gpu_energy = np.full(width, np.inf)
-        for k, (i, t) in enumerate(zip(idx, timings)):
-            trace = traces[k]
-            gpu_seconds[i] = t.seconds
-            gpu_iter[i] = t.seconds * self.gpu_cells[i].traits.launches
-            gpu_watts[i] = trace.segments[0].watts
-            gpu_energy[i] = trace.energy_j
-        cpu_seconds = np.asarray([r.seconds for r in cpu_rows])
-        cpu_watts = np.asarray(
-            [traces[len(idx) + j].segments[0].watts for j in range(len(cpu_rows))]
-        )
-        cpu_energy = np.asarray(
-            [traces[len(idx) + j].energy_j for j in range(len(cpu_rows))]
-        )
-        return SpaceRows(
-            gpu_feasible=gpu_feasible[None, :],
-            gpu_seconds=gpu_seconds[None, :],
-            gpu_iter_seconds=gpu_iter[None, :],
-            gpu_watts=gpu_watts[None, :],
-            gpu_energy=gpu_energy[None, :],
-            cpu_seconds=cpu_seconds[None, :],
-            cpu_watts=cpu_watts[None, :],
-            cpu_energy=cpu_energy[None, :],
-        )
-
-    def rows(self, configs, engine: str = "stacked") -> SpaceRows:
-        """``(configs, cells)`` row arrays of k configs through one engine."""
-        import numpy as np
-
-        if engine == "stacked":
-            return self.stacked_rows(configs)
-        if engine == "facade":
-            per_config = [self.facade_rows(c) for c in configs]
-            return SpaceRows(
-                **{
-                    name: np.concatenate([getattr(r, name) for r in per_config])
-                    for name in SpaceRows.__slots__
-                }
-            )
-        raise ValueError(f"unknown engine {engine!r}; expected 'stacked' or 'facade'")
+    def rows(self, configs) -> SpaceRows:
+        """``(configs, cells)`` row arrays of k configs."""
+        return self.stacked_rows(configs)
 
     # ------------------------------------------------------------------
     def _lanes(self, rows: SpaceRows, version: str) -> list[tuple]:
@@ -534,12 +435,13 @@ class DesignSpace:
     def points(self, configs, rows: SpaceRows, target=None) -> list[DesignPoint]:
         """Design points of k configs from their ``(k, cells)`` row arrays.
 
-        Shared by both engines, so point equality reduces to row
-        identity.  Per config, in config order: [Serial, OpenMP, Opt]
-        per (benchmark, precision) group, then per-precision aggregates
-        (sums across benchmarks; an aggregate Opt is infeasible if any
-        benchmark's is).  ``target=(benchmark, version)`` builds only
-        that slice instead: one point per (config, precision).
+        Points are a pure function of the rows, so point equality
+        reduces to row identity.  Per config, in config order: [Serial,
+        OpenMP, Opt] per (benchmark, precision) group, then
+        per-precision aggregates (sums across benchmarks; an aggregate
+        Opt is infeasible if any benchmark's is).
+        ``target=(benchmark, version)`` builds only that slice instead:
+        one point per (config, precision).
         """
 
         def columns(lanes):
@@ -576,15 +478,13 @@ class DesignSpace:
         return pts
 
     # ------------------------------------------------------------------
-    def evaluate(
-        self, configs, engine: str = "stacked"
-    ) -> tuple[DesignPoint, ...]:
+    def evaluate(self, configs) -> tuple[DesignPoint, ...]:
         """Points of many configs, in config order (single process)."""
         configs = tuple(configs)
         out: list[DesignPoint] = []
         for start in range(0, len(configs), _EVAL_BLOCK):
             block = configs[start : start + _EVAL_BLOCK]
-            out.extend(self.points(block, self.rows(block, engine)))
+            out.extend(self.points(block, self.rows(block)))
         return tuple(out)
 
     # ------------------------------------------------------------------
@@ -629,8 +529,8 @@ class DesignSpace:
 
         Returns ``{precision: (seconds_lb, energy_lb)}`` — float64
         arrays aligned with ``configs`` — such that for every config
-        the ``(benchmark, precision, "Opt")`` point of *either* engine
-        satisfies ``seconds_lb <= point.seconds`` and ``energy_lb <=
+        the ``(benchmark, precision, "Opt")`` point satisfies
+        ``seconds_lb <= point.seconds`` and ``energy_lb <=
         point.energy_j`` rigorously in IEEE-754 (infeasible points are
         ``inf``, trivially above any bound).  This is the pruning
         oracle: if a bound is strictly dominated by a real evaluated
@@ -727,14 +627,14 @@ class DesignSpace:
 
 def _eval_worker(payload) -> tuple[DesignPoint, ...]:
     """Worker: rebuild the space locally, evaluate a config chunk."""
-    benchmarks, precision_values, scale, seed, engine, configs = payload
+    benchmarks, precision_values, scale, seed, configs = payload
     space = DesignSpace(
         benchmarks=benchmarks,
         precisions=tuple(Precision(v) for v in precision_values),
         scale=scale,
         seed=seed,
     )
-    return space.evaluate(configs, engine)
+    return space.evaluate(configs)
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +655,6 @@ def _stream_shard(
     space: DesignSpace,
     configs,
     *,
-    engine: str,
     chunk_size: int,
     prune: bool,
     target_benchmark: str,
@@ -794,7 +693,7 @@ def _stream_shard(
         nonlocal evaluated, n_kept
         if not batch:
             return
-        rows = space.rows(batch, engine)
+        rows = space.rows(batch)
         evaluated += len(batch)
         for p in space.points(batch, rows, target=target):
             frontiers[p.precision].add(p)
@@ -884,7 +783,6 @@ def _stream_worker(payload):
         precision_values,
         scale,
         seed,
-        engine,
         configs,
         chunk_size,
         prune,
@@ -901,7 +799,6 @@ def _stream_worker(payload):
     kept, frontiers, evaluated, pruned, peak = _stream_shard(
         space,
         configs,
-        engine=engine,
         chunk_size=chunk_size,
         prune=prune,
         target_benchmark=target_benchmark,
@@ -1118,7 +1015,6 @@ def evaluate_space(
     scale: float = 0.5,
     seed: int = 1234,
     jobs: int = 1,
-    engine: str = "stacked",
     stream: bool = False,
     chunk_size: int = 256,
     prune: bool = True,
@@ -1188,7 +1084,6 @@ def evaluate_space(
                     tuple(p.value for p in precisions),
                     scale,
                     seed,
-                    engine,
                     chunk,
                 )
                 for chunk in chunks
@@ -1204,7 +1099,7 @@ def evaluate_space(
                     benchmarks=benchmarks, precisions=precisions, scale=scale,
                     seed=seed,
                 )
-            points = space.evaluate(configs, engine)
+            points = space.evaluate(configs)
         digests = tuple(c.digest() for c in configs)
         return DesignSpaceResult(
             configs=configs,
@@ -1254,7 +1149,6 @@ def evaluate_space(
                     tuple(p.value for p in precisions),
                     scale,
                     seed,
-                    engine,
                     shard,
                     chunk_size,
                     prune,
@@ -1310,7 +1204,6 @@ def evaluate_space(
             kept, frontiers, evaluated, pruned, peak = _stream_shard(
                 space,
                 configs,
-                engine=engine,
                 chunk_size=chunk_size,
                 prune=prune,
                 target_benchmark=target_benchmark,
@@ -1375,14 +1268,9 @@ def frontier(points) -> tuple[DesignPoint, ...]:
     Sorted by (seconds, energy, config name, version); duplicate
     (seconds, energy) pairs all survive (none strictly dominates the
     other), so equal designs stay visible.  O(n log n) sort-based
-    skyline, same point set as :func:`frontier_reference`.
+    skyline.
     """
     return skyline(points, key=_sort_key)
-
-
-def frontier_reference(points) -> tuple[DesignPoint, ...]:
-    """The O(n²) all-pairs frontier — oracle and benchmark baseline."""
-    return skyline_reference(points, key=_sort_key)
 
 
 def dominated(points) -> tuple[DesignPoint, ...]:
@@ -1560,8 +1448,8 @@ def _dvfs_opp_slices(space: DesignSpace, platform, dram, table, benchmark):
     One batched stack call prices the config at every GPU operating
     point of ``table`` (one row per OPP: the Mali clock moved to the
     OPP's frequency), each row's watts come from rails scaled by that
-    OPP's ``f · V²`` factor, and the slice is exactly the stacked
-    engine's Opt selection (:meth:`DesignSpace.slice_lanes`: same argmin
+    OPP's ``f · V²`` factor, and the slice is exactly the
+    Opt selection (:meth:`DesignSpace.slice_lanes`: same argmin
     over ``seconds × launches``, same accumulation order for the
     aggregate).  At the table's nominal OPP both are the base values,
     so the slice is bitwise the fixed-frequency Opt point of
@@ -1713,7 +1601,7 @@ def evaluate_dvfs(
     For every config the Mali OPP table is rescaled so its top point is
     the config's shader clock (the fixed-frequency design point is the
     degenerate nominal OPP), the target slice is priced at each OPP
-    through the stacked engine, and each governor settles per its own
+    through the config stack, and each governor settles per its own
     rule: ``fixed``/``performance`` at the nominal OPP, ``powersave`` at
     the bottom, ``ondemand`` at the lowest OPP keeping its two-point
     frequency-response utilization under the up-threshold, and the

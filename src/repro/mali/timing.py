@@ -1,7 +1,7 @@
 """Per-launch timing model for the Mali-T604.
 
-``time_launch`` prices one ``clEnqueueNDRangeKernel`` of a compiled
-kernel as a three-roofline model with explicit overheads:
+One ``clEnqueueNDRangeKernel`` of a compiled kernel is priced as a
+three-roofline model with explicit overheads:
 
 * **arithmetic roofline** — issued vector micro-ops across
   4 cores × 2 arithmetic pipes, scaled by latency hiding (occupancy);
@@ -15,54 +15,58 @@ plus atomic serialization, barrier costs, Job-Manager work-group
 scheduling, launch overhead, and an imbalance multiplier.  The largest
 roofline is the bottleneck; a calibrated fraction of the other two
 leaks past the overlap (threads cannot always cover both).
+
+:class:`GpuConfigStack` is the one implementation of these equations:
+it prices a fixed set of launch cells under k configs with a few
+``(configs × cells)`` NumPy passes.  The Exynos board is the k = 1
+call — :class:`GpuPricingModel`, :class:`LaunchPricer` and
+:func:`time_launch` price their ``gpu_timing`` memo misses through
+:meth:`GpuConfigStack.timings`, which wraps the board's lanes into
+:class:`GpuLaunchTiming` records.  The naive scalar reference every
+lane is tested against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .. import perf
 from ..compiler.pipeline import CompiledKernel
 from ..compiler.regalloc import fits_register_file, threads_for_scale
 from ..errors import CLOutOfResources
-from ..ir.analysis import InstructionMix
-from ..ir.dtypes import scalar_bits
-from ..ir.nodes import AccessPattern, MemSpace
+from ..ir.dtypes import DType, scalar_bits
+from ..ir.nodes import MemSpace
 from ..memory.cache import CacheHierarchy
 from ..memory.dram import DramModel
+from ..pricing.cells import GpuLaunchCell
 from ..workload import WorkloadTraits
 from .config import MaliConfig
-from .job_manager import Distribution, distribute
+from .job_manager import Distribution
 from .occupancy import (
     FULL_BANDWIDTH_THREADS,
     FULL_HIDING_THREADS,
     MIN_HIDING,
     Occupancy,
-    derive_occupancy,
+    check_local_size,
 )
 
 
-def _threads_per_core(compiled: CompiledKernel, config: MaliConfig) -> int:
-    """Register-limited resident threads of a kernel on one config.
+def _require_fit(compiled: CompiledKernel, config: MaliConfig) -> None:
+    """Raise ``CL_OUT_OF_RESOURCES`` when the kernel no longer fits.
 
-    The baseline register file returns exactly the compile-time
-    ``threads_per_core`` (the historical bitwise path); a scaled file
-    recomputes the tier from the kernel's effective register demand, or
-    raises ``CL_OUT_OF_RESOURCES`` when the kernel no longer fits — the
-    launch-time failure mode design-space sweeps use to mark candidates
-    infeasible on leaner SoC variants.
+    A scaled register file can be too small for a kernel the baseline
+    compiled — the launch-time failure mode design-space sweeps use to
+    mark candidates infeasible on leaner SoC variants.
     """
-    scale = config.register_file_scale
-    if scale == 1.0:
-        return compiled.registers.threads_per_core
     report = compiled.registers
+    scale = config.register_file_scale
     if not fits_register_file(report, scale):
         raise CLOutOfResources(
             f"kernel needs {report.registers_128} 128-bit registers, "
             f"exceeding the {scale}x-scaled register file"
         )
-    return threads_for_scale(report, scale)
 
 
 @dataclass(frozen=True)
@@ -118,73 +122,8 @@ class GpuLaunchTiming:
         return min(max(1.0 - invariant / self.seconds, 0.0), 1.0)
 
 
-def _arith_cycles(mix: InstructionMix, config: MaliConfig, native_math: bool = False) -> float:
-    cycles = 0.0
-    for (op, base, width, accumulates), count in mix.arith.items():
-        cycles += count * config.arith_issue_cost(
-            op, base=base, width=width, scalar_bits=scalar_bits(base), native_math=native_math
-        )
-    cycles += mix.loop_headers * config.loop_header_cost
-    cycles += mix.branches * config.branch_cost
-    cycles += mix.calls * config.call_cost
-    return cycles
-
-
-def _ls_cycles(mix: InstructionMix, config: MaliConfig) -> float:
-    cycles = 0.0
-    for (kind, space, pattern, base, width, sequential, aligned), count in mix.mem.items():
-        if space == MemSpace.PRIVATE:
-            continue  # register-resident; spills are emitted as GLOBAL
-        cost = config.ls_issue_cost(width, scalar_bits=scalar_bits(base))
-        if width > 1 and not aligned:
-            # sliding-window vloads at arbitrary element offsets cross
-            # register boundaries: two LS issues each
-            cost *= 2.0
-        if space == MemSpace.CONSTANT:
-            # __constant data comes through the constant cache / uniform
-            # registers and barely touches the LS pipe; a broadcast from
-            # plain __global memory still pays the full LS transaction
-            cost *= config.uniform_load_cost_factor
-        cycles += count * cost
-    for (op, base, space), count in mix.atomics.items():
-        if space == MemSpace.LOCAL:
-            cycles += count * config.atomic_local_cycles
-        else:
-            cycles += count * config.atomic_cycles
-    return cycles
-
-
-def _access_width_efficiency(mix: InstructionMix, config: MaliConfig) -> float:
-    """Bandwidth efficiency from the average global-access width.
-
-    Midgard threads issue independent L2/DRAM transactions (no
-    warp-level coalescing), so a stream of 32-bit scalar accesses
-    sustains only ``scalar_access_dram_efficiency`` of the bandwidth a
-    128-bit ``vload4`` stream reaches.  Interpolates linearly in the
-    byte-weighted mean access width.
-    """
-    total_bytes = 0.0
-    weighted_bits = 0.0
-    for (kind, space, pattern, base, width, sequential, aligned), count in mix.mem.items():
-        if space != MemSpace.GLOBAL:
-            continue
-        from ..ir.dtypes import DType
-
-        nbytes = count * DType(base, width).bytes
-        total_bytes += nbytes
-        if sequential:
-            # a per-thread streaming walk consumes whole cache lines
-            # regardless of the instruction width
-            weighted_bits += nbytes * config.lane_bits
-        else:
-            weighted_bits += nbytes * min(width * scalar_bits(base), config.lane_bits)
-    if total_bytes <= 0.0:
-        return 1.0
-    mean_bits = weighted_bits / total_bytes
-    # 32-bit accesses -> the scalar floor; 128-bit accesses -> full rate
-    frac = min(max((mean_bits - 32.0) / (config.lane_bits - 32.0), 0.0), 1.0)
-    low = config.scalar_access_dram_efficiency
-    return low + (1.0 - low) * frac
+#: ``GpuStackRows.bottleneck`` index -> ``GpuLaunchTiming.bottleneck``
+_BOTTLENECKS = ("arith", "ls", "dram", "atomic")
 
 
 def time_launch(
@@ -203,10 +142,8 @@ def time_launch(
     frozen configs), so results are memoized content-addressed: the
     autotuner prices each distinct (kernel, options, local size) point
     once per process — and, with a persistent tier attached, once per
-    campaign.  One-shot callers go through a throwaway
-    :class:`LaunchPricer`; sweeps that price many ``(n_items,
-    local_size)`` candidates of the same kernel should hold one pricer
-    and amortize its vectorized tables.
+    campaign.  Callers pricing many launches of one kernel should hold a
+    :class:`LaunchPricer` (it hoists the memo-key prefix).
     """
     return LaunchPricer(
         compiled, traits, config, dram, caches, concurrent_agents=concurrent_agents
@@ -279,25 +216,16 @@ def _attached_key_part(obj) -> _HashedKey:
     return part
 
 
-#: distinct item counts below which the 2-D bulk slice pass costs more
-#: in ufunc dispatch than it saves (both paths are bitwise-identical)
-_BULK_THRESHOLD = 32
-
-
 class _MixColumns:
-    """Vectorized per-entry (count, cost) columns of one kernel's mix.
+    """Per-entry (count, cost) float64 columns of one kernel's mix.
 
-    Every column preserves the source dict's iteration order so
-    sequential summation over the elementwise products reproduces the
-    scalar accumulation loops of ``_arith_cycles`` / ``_ls_cycles`` /
-    ``_access_width_efficiency`` bit for bit.  Columns are plain Python
-    lists — small mixes price fastest through scalar loops — with NumPy
-    views materialized on demand for the 2-D bulk pass (:meth:`arrays`).
+    Every column preserves the source dict's iteration order, so the
+    sequential row accumulation in :func:`_mix_slices` adds the terms in
+    the order the scalar reference's dict loops do.
 
     A pure derived constant of ``(compiled, config)``: built once and
     cached on the compiled kernel (:func:`_columns_for`), shared by
-    every pricer of that kernel — batched grids and one-shot
-    ``time_launch`` calls alike.
+    every stack that prices the kernel.
     """
 
     __slots__ = (
@@ -308,11 +236,10 @@ class _MixColumns:
         "glb_counts",
         "glb_bytes",
         "glb_bits",
-        "_arrays",
     )
 
     def __init__(self, compiled: CompiledKernel, config: MaliConfig) -> None:
-        from ..ir.dtypes import DType
+        import numpy as np
 
         mix = compiled.mix
         native_math = compiled.options.native_math
@@ -333,11 +260,16 @@ class _MixColumns:
         ls_costs: list[float] = []
         for (kind, space, pattern, base, width, sequential, aligned), count in mix.mem.items():
             if space == MemSpace.PRIVATE:
-                continue
+                continue  # register-resident; spills are emitted as GLOBAL
             cost = config.ls_issue_cost(width, scalar_bits=scalar_bits(base))
             if width > 1 and not aligned:
+                # sliding-window vloads at arbitrary element offsets cross
+                # register boundaries: two LS issues each
                 cost *= 2.0
             if space == MemSpace.CONSTANT:
+                # __constant data comes through the constant cache / uniform
+                # registers and barely touches the LS pipe; a broadcast from
+                # plain __global memory still pays the full LS transaction
                 cost *= config.uniform_load_cost_factor
             ls_counts.append(count)
             ls_costs.append(cost)
@@ -348,6 +280,7 @@ class _MixColumns:
                 if space == MemSpace.LOCAL
                 else config.atomic_cycles
             )
+        # global accesses, for the access-width bandwidth efficiency
         glb_counts: list[float] = []
         glb_bytes: list[float] = []
         glb_bits: list[float] = []
@@ -356,38 +289,24 @@ class _MixColumns:
                 continue
             glb_counts.append(count)
             glb_bytes.append(float(DType(base, width).bytes))
+            # a per-thread streaming walk consumes whole cache lines
+            # regardless of the instruction width
             glb_bits.append(
                 float(config.lane_bits)
                 if sequential
                 else float(min(width * scalar_bits(base), config.lane_bits))
             )
-        self.arith_counts = arith_counts
-        self.arith_costs = arith_costs
-        self.ls_counts = ls_counts
-        self.ls_costs = ls_costs
-        self.glb_counts = glb_counts
-        self.glb_bytes = glb_bytes
-        self.glb_bits = glb_bits
-        self._arrays: tuple | None = None
 
-    def arrays(self) -> tuple:
-        """float64 column views for the 2-D bulk pass, built on demand."""
-        if self._arrays is None:
-            import numpy as np
+        def column(values):
+            return np.asarray(values, dtype=np.float64)
 
-            self._arrays = tuple(
-                np.asarray(col, dtype=np.float64)
-                for col in (
-                    self.arith_counts,
-                    self.arith_costs,
-                    self.ls_counts,
-                    self.ls_costs,
-                    self.glb_counts,
-                    self.glb_bytes,
-                    self.glb_bits,
-                )
-            )
-        return self._arrays
+        self.arith_counts = column(arith_counts)
+        self.arith_costs = column(arith_costs)
+        self.ls_counts = column(ls_counts)
+        self.ls_costs = column(ls_costs)
+        self.glb_counts = column(glb_counts)
+        self.glb_bytes = column(glb_bytes)
+        self.glb_bits = column(glb_bits)
 
 
 def _columns_for(compiled: CompiledKernel, config: MaliConfig) -> _MixColumns:
@@ -408,85 +327,98 @@ def _columns_for(compiled: CompiledKernel, config: MaliConfig) -> _MixColumns:
     return entry[1]
 
 
-#: (l1 config, l2 config, dram config) -> {(streams, agents): (traffic
-#: items, dram bytes, transfer seconds)}.  DRAM traffic and its base
-#: transfer time are pure functions of the frozen configs and the
-#: traits' stream tuple; grids repeat the same few stream mixes across
-#: dozens of kernel groups, so the filtered traffic is derived once per
-#: distinct mix per process.
+def _accumulate(terms, width: int):
+    """Sequential sum over axis 0 of a ``(mix entries, lanes)`` term grid.
+
+    Row-by-row accumulation gives every lane its additions in the
+    scalar dict loop's order — never ``np.sum``, whose pairwise
+    summation reorders them.
+    """
+    import numpy as np
+
+    acc = np.zeros(width)
+    for row in terms:
+        acc += row
+    return acc
+
+
+def _mix_slices(compiled: CompiledKernel, config: MaliConfig, ns):
+    """(raw arith cycles, raw LS cycles, access-width efficiency) lanes
+    of one kernel at the item counts ``ns`` — the only mix-dependent
+    quantities of a launch — in one 2-D NumPy pass.
+
+    The access-width efficiency models Midgard's missing warp-level
+    coalescing: threads issue independent L2/DRAM transactions, so a
+    stream of 32-bit scalar accesses sustains only
+    ``scalar_access_dram_efficiency`` of the bandwidth a 128-bit
+    ``vload4`` stream reaches, interpolated linearly in the
+    byte-weighted mean access width.
+    """
+    import numpy as np
+
+    cols = _columns_for(compiled, config)
+    mix = compiled.mix
+    width = len(ns)
+
+    arith = _accumulate((cols.arith_counts[:, None] * ns) * cols.arith_costs[:, None], width)
+    arith += (mix.loop_headers * ns) * config.loop_header_cost
+    arith += (mix.branches * ns) * config.branch_cost
+    arith += (mix.calls * ns) * config.call_cost
+    ls = _accumulate((cols.ls_counts[:, None] * ns) * cols.ls_costs[:, None], width)
+
+    nbytes = (cols.glb_counts[:, None] * ns) * cols.glb_bytes[:, None]
+    total_bytes = _accumulate(nbytes, width)
+    weighted_bits = _accumulate(nbytes * cols.glb_bits[:, None], width)
+    low = config.scalar_access_dram_efficiency
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_bits = weighted_bits / total_bytes
+        # 32-bit accesses -> the scalar floor; 128-bit accesses -> full rate
+        frac = np.minimum(
+            np.maximum((mean_bits - 32.0) / (config.lane_bits - 32.0), 0.0), 1.0
+        )
+        access_eff = np.where(total_bytes <= 0.0, 1.0, low + (1.0 - low) * frac)
+    return arith, ls, access_eff
+
+
+#: (l1 config, l2 config, dram config) -> {(streams, agents): (dram
+#: bytes, transfer seconds)}.  DRAM traffic and its base transfer time
+#: are pure functions of the frozen configs and the traits' stream
+#: tuple; grids repeat the same few stream mixes across dozens of
+#: kernel groups, so each is derived once per distinct mix per process.
 _TRAFFIC_TABLES: dict[tuple, dict] = {}
 
 
-def _traffic_tables(dram: DramModel, caches: CacheHierarchy) -> dict:
+def _traffic_entry(
+    traits: WorkloadTraits, agents: int, dram: DramModel, caches: CacheHierarchy
+) -> tuple[float, float]:
+    """(DRAM bytes, base transfer seconds) of one stream mix."""
     key = (caches.l1.config, caches.l2.config, dram.config)
-    found = _TRAFFIC_TABLES.get(key)
-    if found is None:
-        found = _TRAFFIC_TABLES[key] = {}
-    return found
-
-
-class _MixTables:
-    """Candidate-independent pricing state of one kernel instance.
-
-    The config-derived columns (shared per compiled kernel) plus the
-    traits-derived DRAM traffic and base transfer time (shared per
-    stream mix).  Built once per :class:`LaunchPricer`.
-    """
-
-    __slots__ = ("cols", "traffic", "dram_bytes", "transfer_s")
-
-    def __init__(
-        self,
-        compiled: CompiledKernel,
-        traits: WorkloadTraits,
-        config: MaliConfig,
-        dram: DramModel,
-        caches: CacheHierarchy,
-        concurrent_agents: int,
-        traffic_tables: dict | None = None,
-    ) -> None:
-        self.cols = _columns_for(compiled, config)
-        tables = traffic_tables if traffic_tables is not None else _traffic_tables(dram, caches)
-        tkey = (traits.streams, concurrent_agents)
-        entry = tables.get(tkey)
-        if entry is None:
-            traffic = caches.dram_traffic(list(traits.streams))
-            dram_bytes = sum(traffic.values())
-            transfer_s = (
-                dram.transfer_seconds(
-                    "gpu", bytes_by_pattern=traffic, concurrent_agents=concurrent_agents
-                )
-                if dram_bytes > 0
-                else 0.0
-            )
-            entry = tables[tkey] = (tuple(traffic.items()), dram_bytes, transfer_s)
-        items, self.dram_bytes, self.transfer_s = entry
-        self.traffic = dict(items)
+    table = _TRAFFIC_TABLES.get(key)
+    if table is None:
+        table = _TRAFFIC_TABLES[key] = {}
+    tkey = (traits.streams, agents)
+    entry = table.get(tkey)
+    if entry is None:
+        traffic = caches.dram_traffic(list(traits.streams))
+        nbytes = sum(traffic.values())
+        transfer_s = (
+            dram.transfer_seconds("gpu", bytes_by_pattern=traffic, concurrent_agents=agents)
+            if nbytes > 0
+            else 0.0
+        )
+        entry = table[tkey] = (nbytes, transfer_s)
+    return entry
 
 
 class LaunchPricer:
-    """Batched launch pricing of one compiled kernel across candidates.
+    """Memoized launch pricing of one compiled kernel instance.
 
-    The autotuner sweeps many ``(n_items, local_size)`` points of the
-    same compiled kernel; the scalar path re-walks every
-    :class:`~repro.ir.analysis.InstructionMix` dict and re-derives the
-    DRAM traffic for each one.  A pricer hoists everything that does not
-    depend on the candidate — the memo-key prefix, the per-entry
-    (count, cost) columns, the cache-hierarchy traffic and its base
-    transfer time — and prices each candidate with one vectorized pass
-    plus a handful of scalar ops.  Cycle totals and the access-width
-    efficiency depend on ``n_items`` only, so they are computed once per
-    distinct item count (candidates sharing a rounded NDRange share the
-    slice).
-
-    Bitwise contract: elementwise numpy products over float64 columns
-    are IEEE-identical to the scalar ``(count*n) * cost`` expressions,
-    and every reduction is a sequential Python accumulation in source
-    dict order — *not* ``np.sum``, whose pairwise summation reorders the
-    additions — so ``price()`` returns exactly what the scalar reference
-    ``_time_launch_uncached`` returns (asserted over the full grid in
-    ``tests/unit/test_perf_persist.py``).  Both feed the same
-    ``gpu_timing`` memo, so sweeps and one-shot calls share entries.
+    The autotuner prices many ``(n_items, local_size)`` candidates of
+    the same kernel; a pricer hoists the part of the ``gpu_timing`` memo
+    key that does not depend on the candidate, and prices each memo miss
+    as a one-cell :class:`GpuConfigStack` on its config.  Construction
+    raises ``CL_OUT_OF_RESOURCES`` when the kernel does not fit the
+    config's register file.
     """
 
     def __init__(
@@ -498,17 +430,14 @@ class LaunchPricer:
         caches: CacheHierarchy,
         concurrent_agents: int = 1,
         fixed: tuple | None = None,
-        traffic_tables: dict | None = None,
-        occ_cache: dict | None = None,
     ) -> None:
+        _require_fit(compiled, config)
         self.compiled = compiled
         self.traits = traits
         self.config = config
         self.dram = dram
         self.caches = caches
         self.concurrent_agents = concurrent_agents
-        self._traffic_tables = traffic_tables
-        self._tpc = _threads_per_core(compiled, config)
         # hoisted memo-key prefix: content_key of a tuple is the tuple of
         # element content_keys, so assembling per-candidate keys from the
         # fixed parts yields keys equal to time_launch's historical ones
@@ -528,14 +457,6 @@ class LaunchPricer:
             )
         self._fixed = fixed
         self._memo = perf.cache("gpu_timing")
-        self._tables: _MixTables | None = None
-        self._slices: dict[int, tuple[float, float, float]] = {}
-        # (threads_per_core, local_size) -> (occupancy, hiding,
-        # bandwidth_hiding); shareable across the pricers of a grid — a
-        # few register tiers times a few local sizes cover every cell
-        self._occs: dict[tuple[int, int], tuple[Occupancy, float, float]] = (
-            occ_cache if occ_cache is not None else {}
-        )
 
     def key(self, n_items: int, local_size: int) -> tuple:
         """The ``gpu_timing`` memo key for one candidate."""
@@ -543,369 +464,30 @@ class LaunchPricer:
         return (f[0], n_items, local_size, f[1], f[2], f[3], f[4], f[5], self.concurrent_agents)
 
     def price(self, n_items: int, local_size: int) -> GpuLaunchTiming:
-        """Memoized candidate price (both tiers; computes on full miss)."""
-        if not perf.is_enabled():
-            return _time_launch_uncached(
-                self.compiled,
-                n_items,
-                local_size,
-                self.traits,
-                self.config,
-                self.dram,
-                self.caches,
-                self.concurrent_agents,
+        """Memoized candidate price (both tiers; a one-cell stack on a miss)."""
+
+        def compute() -> GpuLaunchTiming:
+            cell = GpuLaunchCell(
+                compiled=self.compiled,
+                traits=self.traits,
+                n_items=n_items,
+                local_size=local_size,
+                concurrent_agents=self.concurrent_agents,
             )
-        return self._memo.get_or_compute(
-            self.key(n_items, local_size), lambda: self._compute(n_items, local_size)
-        )
+            return GpuConfigStack((cell,), self.config, self.dram, self.caches).timings()[0]
 
-    def price_many(
-        self, candidates: list[tuple[int, int]]
-    ) -> tuple[GpuLaunchTiming, ...]:
-        """Price many ``(n_items, local_size)`` candidates of this kernel.
-
-        The mix-dependent slices of every distinct item count are computed
-        in one 2-D vectorized pass (:meth:`warm_slices`); each candidate
-        then pays only the scalar epilogue (occupancy, distribution,
-        roofline max).  Results are bitwise-identical to ``price()`` one
-        at a time and flow through the same ``gpu_timing`` memo slots.
-        """
-        candidates = list(candidates)
-        self.warm_slices([n for n, _ in candidates])
-        return tuple(self.price(n, local) for n, local in candidates)
-
-    # ------------------------------------------------------------------
-    def _ensure_tables(self) -> _MixTables:
-        t = self._tables
-        if t is None:
-            t = self._tables = _MixTables(
-                self.compiled,
-                self.traits,
-                self.config,
-                self.dram,
-                self.caches,
-                self.concurrent_agents,
-                self._traffic_tables,
-            )
-        return t
-
-    def _slice(self, n_items: int) -> tuple[float, float, float]:
-        """(raw arith cycles, raw LS cycles, access efficiency) at one
-        item count — the only mix-dependent quantities of a candidate.
-
-        Pure scalar Python over the hoisted columns: each ``(count*n) *
-        cost`` product and each sequential addition is the same IEEE-754
-        double operation the NumPy bulk pass performs lane-wise, so the
-        cached slices are bitwise-identical either way — and for one
-        item count the scalar loop beats the ufunc dispatch overhead.
-        """
-        found = self._slices.get(n_items)
-        if found is not None:
-            return found
-        cols = self._ensure_tables().cols
-        n = float(n_items)
-        config = self.config
-        mix = self.compiled.mix
-        arith = 0.0
-        for count, cost in zip(cols.arith_counts, cols.arith_costs):
-            arith += (count * n) * cost
-        arith += (mix.loop_headers * n) * config.loop_header_cost
-        arith += (mix.branches * n) * config.branch_cost
-        arith += (mix.calls * n) * config.call_cost
-        ls = 0.0
-        for count, cost in zip(cols.ls_counts, cols.ls_costs):
-            ls += (count * n) * cost
-        total_bytes = 0.0
-        weighted_bits = 0.0
-        for count, nbytes, bits in zip(cols.glb_counts, cols.glb_bytes, cols.glb_bits):
-            b = (count * n) * nbytes
-            total_bytes += b
-            weighted_bits += b * bits
-        if total_bytes <= 0.0:
-            access_eff = 1.0
-        else:
-            mean_bits = weighted_bits / total_bytes
-            frac = min(max((mean_bits - 32.0) / (config.lane_bits - 32.0), 0.0), 1.0)
-            low = config.scalar_access_dram_efficiency
-            access_eff = low + (1.0 - low) * frac
-        result = (arith, ls, access_eff)
-        self._slices[n_items] = result
-        return result
-
-    def warm_slices(self, n_values) -> None:
-        """Bulk-fill :meth:`_slice` for many item counts in one 2-D pass.
-
-        Instead of one 1-D product per item count, the whole grid of
-        (entry, item count) terms is materialized as a 2-D outer product
-        and reduced along the entry axis by sequential row accumulation —
-        each lane sees its additions in the exact order the scalar loop
-        performs them, so the cached slices are bitwise-identical to what
-        ``_slice`` would have produced one ``n`` at a time.
-
-        Below ``_BULK_THRESHOLD`` distinct item counts the ufunc
-        dispatch overhead of the 2-D pass exceeds its win, so the slices
-        fall through to the (equally bitwise) scalar :meth:`_slice`.
-        """
-        todo = sorted({int(n) for n in n_values} - self._slices.keys())
-        if not todo:
-            return
-        if len(todo) < _BULK_THRESHOLD:
-            for n_items in todo:
-                self._slice(n_items)
-            return
-        import numpy as np
-
-        (
-            arith_counts,
-            arith_costs,
-            ls_counts,
-            ls_costs,
-            glb_counts,
-            glb_bytes,
-            glb_bits,
-        ) = self._ensure_tables().cols.arrays()
-        config = self.config
-        mix = self.compiled.mix
-        ns = np.asarray([float(n) for n in todo], dtype=np.float64)
-        width = len(todo)
-
-        arith = np.zeros(width)
-        if arith_counts.size:
-            for row in (arith_counts[:, None] * ns[None, :]) * arith_costs[:, None]:
-                arith += row
-        arith += (mix.loop_headers * ns) * config.loop_header_cost
-        arith += (mix.branches * ns) * config.branch_cost
-        arith += (mix.calls * ns) * config.call_cost
-
-        ls = np.zeros(width)
-        if ls_counts.size:
-            for row in (ls_counts[:, None] * ns[None, :]) * ls_costs[:, None]:
-                ls += row
-
-        if glb_counts.size:
-            nbytes = (glb_counts[:, None] * ns[None, :]) * glb_bytes[:, None]
-            total_bytes = np.zeros(width)
-            for row in nbytes:
-                total_bytes += row
-            weighted_bits = np.zeros(width)
-            for row in nbytes * glb_bits[:, None]:
-                weighted_bits += row
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mean_bits = weighted_bits / total_bytes
-                frac = np.minimum(
-                    np.maximum((mean_bits - 32.0) / (config.lane_bits - 32.0), 0.0), 1.0
-                )
-                low = config.scalar_access_dram_efficiency
-                access_eff = np.where(total_bytes <= 0.0, 1.0, low + (1.0 - low) * frac)
-        else:
-            access_eff = np.ones(width)
-
-        for j, n_items in enumerate(todo):
-            self._slices[n_items] = (float(arith[j]), float(ls[j]), float(access_eff[j]))
-
-    def _compute(self, n_items: int, local_size: int) -> GpuLaunchTiming:
-        """Uncached vectorized price (the scalar model, batched)."""
-        if n_items < 1:
-            raise ValueError(f"n_items must be >= 1, got {n_items}")
-        arith_raw, ls_raw, access_eff = self._slice(n_items)
-        t = self._ensure_tables()
-        config = self.config
-        mix = self.compiled.mix
-        n = float(n_items)
-
-        # occupancy depends on (register tier, local size) alone; the
-        # hiding factors are sqrt-computing properties, so the cache
-        # holds the derived floats next to the frozen Occupancy
-        entry = self._occs.get((self._tpc, local_size))
-        if entry is None:
-            occ = derive_occupancy(self._tpc, local_size)
-            entry = self._occs[(self._tpc, local_size)] = (
-                occ,
-                occ.hiding,
-                occ.bandwidth_hiding,
-            )
-        occ, hiding, bandwidth_hiding = entry
-        dist, imbalance = distribute(n_items, local_size, config, self.traits.imbalance_cv)
-
-        clock = config.clock_hz
-        n_cores = config.shader_cores
-
-        arith_cycles = arith_raw / (n_cores * config.arith_pipes_per_core)
-        ls_cycles = ls_raw / (n_cores * config.ls_pipes_per_core)
-        arith_s = arith_cycles / clock / hiding
-        ls_s = ls_cycles / clock / hiding
-
-        dram_s = (
-            t.transfer_s / bandwidth_hiding / access_eff if t.dram_bytes > 0 else 0.0
-        )
-
-        atomic_s = (
-            (mix.atomic_contention_weight * n) * config.atomic_cycles
-            + (mix.atomic_contention_weight_local * n) * config.atomic_local_cycles / n_cores
-        ) / clock
-
-        barrier_instances = (mix.barriers * n) / max(local_size, 1)
-        barrier_s = barrier_instances * config.barrier_cycles / clock / n_cores
-
-        # unrolled twin of the reference's component-dict max: first
-        # maximum wins on ties (dict order arith, ls, dram, atomic) and
-        # the leak sums the components in that same insertion order
-        peak, bottleneck = arith_s, "arith"
-        if ls_s > peak:
-            peak, bottleneck = ls_s, "ls"
-        if dram_s > peak:
-            peak, bottleneck = dram_s, "dram"
-        if atomic_s > peak:
-            peak, bottleneck = atomic_s, "atomic"
-        leak = config.overlap_leak * ((((arith_s + ls_s) + dram_s) + atomic_s) - peak)
-        parallel_s = (peak + leak) * imbalance + barrier_s
-
-        total = parallel_s + dist.schedule_seconds + config.launch_overhead_s
-
-        # a grid builds hundreds of these; the frozen-dataclass __init__
-        # goes through object.__setattr__ per field, so fill the instance
-        # dict directly (same fields, same values, same pickle/eq/repr)
-        timing = object.__new__(GpuLaunchTiming)
-        timing.__dict__.update(
-            seconds=total,
-            arith_seconds=arith_s,
-            ls_seconds=ls_s,
-            dram_seconds=dram_s,
-            atomic_seconds=atomic_s,
-            barrier_seconds=barrier_s,
-            schedule_seconds=dist.schedule_seconds,
-            launch_overhead_seconds=config.launch_overhead_s,
-            imbalance_factor=imbalance,
-            occupancy=occ,
-            distribution=dist,
-            dram_bytes=t.dram_bytes,
-            bottleneck=bottleneck,
-        )
-        return timing
-
-
-def _time_launch_uncached(
-    compiled: CompiledKernel,
-    n_items: int,
-    local_size: int,
-    traits: WorkloadTraits,
-    config: MaliConfig,
-    dram: DramModel,
-    caches: CacheHierarchy,
-    concurrent_agents: int = 1,
-) -> GpuLaunchTiming:
-    if n_items < 1:
-        raise ValueError(f"n_items must be >= 1, got {n_items}")
-    mix = compiled.mix
-    totals = mix.scaled(float(n_items))
-
-    occ = derive_occupancy(_threads_per_core(compiled, config), local_size)
-    dist, imbalance = distribute(n_items, local_size, config, traits.imbalance_cv)
-
-    clock = config.clock_hz
-    n_cores = config.shader_cores
-
-    native_math = compiled.options.native_math
-    arith_cycles = _arith_cycles(totals, config, native_math) / (
-        n_cores * config.arith_pipes_per_core
-    )
-    ls_cycles = _ls_cycles(totals, config) / (n_cores * config.ls_pipes_per_core)
-    arith_s = arith_cycles / clock / occ.hiding
-    ls_s = ls_cycles / clock / occ.hiding
-
-    traffic = caches.dram_traffic(list(traits.streams))
-    dram_bytes = sum(traffic.values())
-    access_eff = _access_width_efficiency(totals, config)
-    dram_s = (
-        dram.transfer_seconds(
-            "gpu", bytes_by_pattern=traffic, concurrent_agents=concurrent_agents
-        )
-        / occ.bandwidth_hiding
-        / access_eff
-        if dram_bytes > 0
-        else 0.0
-    )
-
-    atomic_s = (
-        totals.atomic_contention_weight * config.atomic_cycles
-        # local atomics serialize only within one core: 1/n_cores weight
-        + totals.atomic_contention_weight_local * config.atomic_local_cycles / n_cores
-    ) / clock
-
-    barrier_instances = totals.barriers / max(local_size, 1)
-    barrier_s = barrier_instances * config.barrier_cycles / clock / n_cores
-
-    components = {"arith": arith_s, "ls": ls_s, "dram": dram_s, "atomic": atomic_s}
-    bottleneck = max(components, key=components.get)
-    peak = components[bottleneck]
-    leak = config.overlap_leak * (sum(components.values()) - peak)
-    parallel_s = (peak + leak) * imbalance + barrier_s
-
-    total = parallel_s + dist.schedule_seconds + config.launch_overhead_s
-
-    return GpuLaunchTiming(
-        seconds=total,
-        arith_seconds=arith_s,
-        ls_seconds=ls_s,
-        dram_seconds=dram_s,
-        atomic_seconds=atomic_s,
-        barrier_seconds=barrier_s,
-        schedule_seconds=dist.schedule_seconds,
-        launch_overhead_seconds=config.launch_overhead_s,
-        imbalance_factor=imbalance,
-        occupancy=occ,
-        distribution=dist,
-        dram_bytes=dram_bytes,
-        bottleneck=bottleneck,
-    )
-
-
-def roofline_floor_seconds(
-    compiled: CompiledKernel,
-    n_items: int,
-    traits: WorkloadTraits,
-    config: MaliConfig,
-    dram: DramModel,
-    caches: CacheHierarchy,
-) -> float:
-    """Optimistic lower bound on ``time_launch(...).seconds``.
-
-    The best case for any launch of this compiled kernel: perfect latency
-    hiding (occupancy = 1), full access-width efficiency, no imbalance,
-    no overlap leak, and zero barrier/schedule/launch overheads — just
-    ``max(arith, ls, dram)``.  Every penalty ``time_launch`` applies is a
-    multiplier ≥ 1 or an additive term ≥ 0 on top of these components,
-    so the bound holds for every local size; the pruned tuner strategy
-    uses it to discard candidates that cannot beat the incumbent.
-    """
-    if n_items < 1:
-        raise ValueError(f"n_items must be >= 1, got {n_items}")
-    totals = compiled.mix.scaled(float(n_items))
-    clock = config.clock_hz
-    n_cores = config.shader_cores
-    arith_s = (
-        _arith_cycles(totals, config, compiled.options.native_math)
-        / (n_cores * config.arith_pipes_per_core)
-        / clock
-    )
-    ls_s = _ls_cycles(totals, config) / (n_cores * config.ls_pipes_per_core) / clock
-    traffic = caches.dram_traffic(list(traits.streams))
-    dram_s = (
-        dram.transfer_seconds("gpu", bytes_by_pattern=traffic)
-        if sum(traffic.values()) > 0
-        else 0.0
-    )
-    return max(arith_s, ls_s, dram_s)
+        return self._memo.get_or_compute(self.key(n_items, local_size), compute)
 
 
 class GpuPricingModel:
     """Batched :class:`~repro.pricing.PricingModel` over GPU launch cells.
 
-    Groups cells by (compiled kernel, traits, concurrent agents), holds
-    one :class:`LaunchPricer` per group, and bulk-computes the
-    mix-dependent slices of every distinct item count before pricing the
-    candidates.  Pricers persist across ``price`` calls so the tuner and
-    the campaign cold path share vectorized tables and memo slots.
+    Holds one :class:`LaunchPricer` per kernel instance for the memo
+    keys.  The first memo miss of a ``price`` call prices every cell of
+    the call with one :class:`GpuConfigStack` on the model's config (its
+    k = 1 row), and each miss takes its own lane; a lane does not depend
+    on the other cells of the stack, so hits and misses agree bit for
+    bit.
     """
 
     def __init__(self, config: MaliConfig, dram: DramModel, caches: CacheHierarchy):
@@ -915,13 +497,9 @@ class GpuPricingModel:
         self._pricers: dict[tuple[int, int, int], LaunchPricer] = {}
         # platform-level memo-key parts, hashed once for the whole grid
         self._platform_fixed: tuple | None = None
-        # shared per-stream-mix traffic tables, resolved once per facade
-        self._traffic = _traffic_tables(dram, caches)
-        # occupancy entries shared across every pricer of this facade
-        self._occ_entries: dict[tuple[int, int], tuple[Occupancy, float, float]] = {}
         # traits interning: cells built from distinct-but-equal traits
         # objects (one per grid row) collapse onto one canonical instance
-        # so they share a pricer, its tables, and its warmed slices
+        # so they share a pricer and its hashed key parts
         self._traits_by_id: dict[int, WorkloadTraits] = {}
         self._traits_canon: dict[WorkloadTraits, WorkloadTraits] = {}
 
@@ -966,25 +544,33 @@ class GpuPricingModel:
                 self.caches,
                 concurrent_agents=concurrent_agents,
                 fixed=self._fixed_for(compiled, traits),
-                traffic_tables=self._traffic,
-                occ_cache=self._occ_entries,
             )
         return found
 
     def price(self, cells) -> tuple[GpuLaunchTiming, ...]:
         """Timings for each :class:`~repro.pricing.GpuLaunchCell`."""
         cells = tuple(cells)
-        grouped: dict[tuple[int, int, int], tuple[LaunchPricer, list[int]]] = {}
-        for i, cell in enumerate(cells):
+        keys = []
+        for cell in cells:
             pricer = self.pricer(cell.compiled, cell.traits, cell.concurrent_agents)
-            gk = (id(cell.compiled), id(pricer.traits), cell.concurrent_agents)
-            grouped.setdefault(gk, (pricer, []))[1].append(i)
-        out: list[GpuLaunchTiming | None] = [None] * len(cells)
-        for pricer, idxs in grouped.values():
-            pricer.warm_slices([cells[i].n_items for i in idxs])
-            for i in idxs:
-                out[i] = pricer.price(cells[i].n_items, cells[i].local_size)
-        return tuple(out)  # type: ignore[arg-type]
+            # reject bad cells before any memo traffic: an error raised
+            # inside the shared miss computation must never be memoized
+            # under another cell's key
+            _check_launch(cell.n_items, cell.local_size)
+            keys.append(pricer.key(cell.n_items, cell.local_size))
+        priced: list[GpuLaunchTiming] = []
+
+        def row(i: int) -> GpuLaunchTiming:
+            if not priced:
+                priced.extend(
+                    GpuConfigStack(cells, self.config, self.dram, self.caches).timings()
+                )
+            return priced[i]
+
+        memo = perf.cache("gpu_timing")
+        return tuple(
+            memo.get_or_compute(key, partial(row, i)) for i, key in enumerate(keys)
+        )
 
     def price_one(self, cell) -> GpuLaunchTiming:
         """Single-cell convenience (same memo slots as the batch path)."""
@@ -993,8 +579,14 @@ class GpuPricingModel:
         )
 
 
+def _check_launch(n_items: int, local_size: int) -> None:
+    if n_items < 1:
+        raise ValueError(f"n_items must be >= 1, got {n_items}")
+    check_local_size(local_size)
+
+
 # ---------------------------------------------------------------------------
-# Config-axis stacking (design-space sweeps)
+# The timing kernel: config-axis stacks
 
 #: MaliConfig fields a :class:`GpuConfigStack` takes as per-config
 #: columns.  Everything else is baked into the stack's hoisted per-cell
@@ -1008,57 +600,71 @@ _STACK_AXES = frozenset({"shader_cores", "clock_hz", "register_file_scale"})
 class GpuStackRows:
     """Row arrays of k (config, dram) design points over a cell stack.
 
-    ``(k, cells)`` float64 lanes, one row per config in call order,
-    aligned with the stack's cell order; ``dram_bytes`` is the
-    config-independent ``(cells,)`` traffic column.  ``feasible`` is
-    False where the kernel no longer fits the config's scaled register
-    file (the facade path raises ``CL_OUT_OF_RESOURCES`` there);
-    infeasible lanes carry ``inf`` seconds and zero utilization.
+    ``(k, cells)`` lanes, one row per config in call order, aligned with
+    the stack's cell order: ``feasible``; the :class:`GpuLaunchTiming`
+    seconds (``seconds``, ``arith_seconds``, ``ls_seconds``,
+    ``dram_seconds``, ``atomic_seconds``, ``barrier_seconds``,
+    ``schedule_seconds``), ``imbalance`` and ``bottleneck`` (an index
+    into ``arith, ls, dram, atomic``); the occupancy (``threads``,
+    ``resident_groups``) and distribution (``groups_per_core``,
+    ``quantization``) fields; and the power inputs
+    (``alu_utilization``, ``ls_utilization``, ``dram_bandwidth``).
+    ``n_work_groups`` and ``dram_bytes`` are config-independent
+    ``(cells,)`` columns.  ``feasible`` is False where the kernel no
+    longer fits the config's scaled register file (the board path
+    raises ``CL_OUT_OF_RESOURCES`` there); infeasible lanes carry
+    ``inf`` seconds and zero utilization.
     """
 
     __slots__ = (
         "feasible",
         "seconds",
+        "arith_seconds",
+        "ls_seconds",
+        "dram_seconds",
+        "atomic_seconds",
+        "barrier_seconds",
+        "schedule_seconds",
+        "imbalance",
+        "bottleneck",
+        "threads",
+        "resident_groups",
+        "groups_per_core",
+        "quantization",
+        "n_work_groups",
         "alu_utilization",
         "ls_utilization",
         "dram_bandwidth",
         "dram_bytes",
     )
 
-    def __init__(
-        self, feasible, seconds, alu_utilization, ls_utilization, dram_bandwidth, dram_bytes
-    ):
-        self.feasible = feasible
-        self.seconds = seconds
-        self.alu_utilization = alu_utilization
-        self.ls_utilization = ls_utilization
-        self.dram_bandwidth = dram_bandwidth
-        self.dram_bytes = dram_bytes
+    def __init__(self, **lanes):
+        for name, value in lanes.items():
+            setattr(self, name, value)
 
 
 class GpuConfigStack:
-    """Config-axis vectorization of a fixed set of GPU launch cells.
+    """The Mali launch model over a fixed set of cells and k configs.
 
     A design-space sweep prices the *same* grid of cells under many SoC
-    variants.  Everything that does not depend on the swept config axes
+    variants, and the board prices one or a few cells under its one
+    config; both are this class.  Construction groups the cells by
+    kernel instance (compiled kernel, traits, concurrent agents) and
+    hoists everything that does not depend on the swept config axes
     (:data:`_STACK_AXES`: core count, clock, register-file scale) — the
-    instruction-mix slices, DRAM traffic, work-group counts, atomic and
-    barrier weights — is hoisted into per-cell NumPy columns once; each
-    :meth:`rows` call then prices k ``(config, dram)`` points with a
-    handful of ``(configs × cells)`` array passes.  One config is the
-    k = 1 call.
+    instruction-mix slices (one NumPy pass per group), DRAM traffic,
+    work-group counts, atomic and barrier weights — into per-cell
+    columns; each :meth:`rows` call then prices k ``(config, dram)``
+    points with a handful of ``(configs × cells)`` array passes.
+    :meth:`timings` is the k = 1 call on the stack's own config.
 
     Bitwise contract: every array expression is the elementwise twin of
-    the scalar model — same operand values, same IEEE-754 operation
+    the scalar reference — same operand values, same IEEE-754 operation
     order (``np.sqrt``/``np.ceil``/``np.maximum`` match their ``math``
     counterparts lane-wise; the first-wins roofline max equals the
     ``np.maximum`` chain by value; per-config scalars such as
-    ``log(cores)`` stay on ``math`` and enter as columns) — so each lane
-    equals the corresponding :class:`GpuLaunchTiming` field from pricing
-    that cell through a per-config :class:`GpuPricingModel` facade
-    (asserted in ``tests/property/test_grid_pricing_identity.py``).  The
-    stack and the facades also share the process-global traffic tables,
-    keyed by cache/DRAM config values.
+    ``log(cores)`` stay on ``math`` and enter as columns), so a lane does
+    not depend on which other cells or configs share the call.
     """
 
     def __init__(
@@ -1073,61 +679,53 @@ class GpuConfigStack:
         cells = tuple(cells)
         if not cells:
             raise ValueError("GpuConfigStack needs at least one cell")
+        for cell in cells:
+            _check_launch(cell.n_items, cell.local_size)
         self.cells = cells
         self.config = config
         self.dram = dram
         self.caches = caches
-        self._model = GpuPricingModel(config, dram, caches)
 
+        # group by kernel instance; equal traits objects (one per grid
+        # row) collapse onto one canonical instance first
+        canon: dict[WorkloadTraits, WorkloadTraits] = {}
         group_ord: dict[tuple[int, int, int], int] = {}
-        self._group_pricers: list[LaunchPricer] = []
         self._group_streams: list[tuple[WorkloadTraits, int]] = []
         self._group_regs = []
-        group_cells: list[list[int]] = []
+        members: list[list[int]] = []
         gidx: list[int] = []
         for i, cell in enumerate(cells):
-            if cell.n_items < 1:
-                raise ValueError(f"n_items must be >= 1, got {cell.n_items}")
-            pricer = self._model.pricer(cell.compiled, cell.traits, cell.concurrent_agents)
-            gk = (id(cell.compiled), id(pricer.traits), cell.concurrent_agents)
+            traits = canon.setdefault(cell.traits, cell.traits)
+            gk = (id(cell.compiled), id(traits), cell.concurrent_agents)
             g = group_ord.get(gk)
             if g is None:
-                g = group_ord[gk] = len(self._group_pricers)
-                self._group_pricers.append(pricer)
-                self._group_streams.append((pricer.traits, cell.concurrent_agents))
+                g = group_ord[gk] = len(members)
+                self._group_streams.append((traits, cell.concurrent_agents))
                 self._group_regs.append(cell.compiled.registers)
-                group_cells.append([])
-            group_cells[g].append(i)
+                members.append([])
+            members[g].append(i)
             gidx.append(g)
         self._gidx = np.asarray(gidx, dtype=np.intp)
 
-        # mix-dependent slices: one bulk pass per kernel group, gathered
-        # into per-cell columns (bitwise-identical by warm_slices' contract)
-        width = len(cells)
-        arith = np.empty(width)
-        ls = np.empty(width)
-        eff = np.empty(width)
-        dram_bytes = np.empty(width)
-        for g, pricer in enumerate(self._group_pricers):
-            idxs = group_cells[g]
-            pricer.warm_slices([cells[i].n_items for i in idxs])
-            group_bytes = float(pricer._ensure_tables().dram_bytes)
-            for i in idxs:
-                a, l, e = pricer._slice(cells[i].n_items)
-                arith[i] = a
-                ls[i] = l
-                eff[i] = e
-                dram_bytes[i] = group_bytes
-        self._arith_raw = arith
-        self._ls_raw = ls
-        self._access_eff = eff
-        self._dram_bytes = dram_bytes
-
         n_f = np.asarray([float(c.n_items) for c in cells])
+        width = len(cells)
+        self._arith_raw = np.empty(width)
+        self._ls_raw = np.empty(width)
+        self._access_eff = np.empty(width)
+        self._dram_bytes = np.empty(width)
+        for g, idxs in enumerate(members):
+            index = np.asarray(idxs, dtype=np.intp)
+            (
+                self._arith_raw[index],
+                self._ls_raw[index],
+                self._access_eff[index],
+            ) = _mix_slices(cells[idxs[0]].compiled, config, n_f[index])
+            traits, agents = self._group_streams[g]
+            self._dram_bytes[index] = _traffic_entry(traits, agents, dram, caches)[0]
+
         self._local = np.asarray([c.local_size for c in cells], dtype=np.int64)
         maxlocal_f = np.asarray([float(max(c.local_size, 1)) for c in cells])
-        # work-group count is config-independent: same int the scalar
-        # distribute() computes, converted exactly to float64
+        # work-group count is config-independent; an exact float64 int
         self._n_wg_f = np.asarray(
             [float(max(1, math.ceil(c.n_items / c.local_size))) for c in cells]
         )
@@ -1146,8 +744,8 @@ class GpuConfigStack:
         self._schedule_cycles = self._n_wg_f * config.wg_schedule_cycles
 
         # per-scale (feasible, threads-per-core) group arrays; per-DRAM
-        # per-cell base transfer seconds; per-scale per-cell
-        # (feasible, hiding, bandwidth hiding) rows
+        # per-cell base transfer seconds; per-scale per-cell occupancy
+        # rows
         self._tpc_cache: dict[float, tuple] = {}
         self._transfer_cache: dict = {}
         self._hiding_cache: dict[float, tuple] = {}
@@ -1178,36 +776,27 @@ class GpuConfigStack:
 
         found = self._transfer_cache.get(dram.config)
         if found is None:
-            # same construction (and the same process-global table entry)
-            # as _MixTables on a facade for this DRAM config
-            tables = _traffic_tables(dram, self.caches)
-            per_group = []
-            for traits, agents in self._group_streams:
-                tkey = (traits.streams, agents)
-                entry = tables.get(tkey)
-                if entry is None:
-                    traffic = self.caches.dram_traffic(list(traits.streams))
-                    nbytes = sum(traffic.values())
-                    transfer_s = (
-                        dram.transfer_seconds(
-                            "gpu", bytes_by_pattern=traffic, concurrent_agents=agents
-                        )
-                        if nbytes > 0
-                        else 0.0
-                    )
-                    entry = tables[tkey] = (tuple(traffic.items()), nbytes, transfer_s)
-                per_group.append(entry[2])
+            per_group = [
+                _traffic_entry(traits, agents, dram, self.caches)[1]
+                for traits, agents in self._group_streams
+            ]
             found = self._transfer_cache[dram.config] = np.asarray(
                 per_group, dtype=np.float64
             )[self._gidx]
         return found
 
     def _hiding_for(self, scale: float) -> tuple:
-        """Per-cell (feasible, hiding, bandwidth hiding) at one
-        register-file scale — ``derive_occupancy`` vectorized (resident
-        threads, then the two sqrt hiding factors; ``int(x)`` on a
-        positive float == floor), which depends on the config only
-        through the scale."""
+        """Per-cell (feasible, hiding, bandwidth hiding, resident
+        threads, resident groups) at one register-file scale — the
+        occupancy model, vectorized.
+
+        Work-groups are resident as whole units, so the register-limited
+        thread budget is quantized down to a multiple of the local size;
+        a single group larger than the budget time-shares the register
+        file at 0.6 of it (``int(x)`` on a positive float == floor).
+        Latency hiding then follows a square-root law in the resident
+        threads.  Depends on the config only through the scale.
+        """
         import numpy as np
 
         found = self._hiding_cache.get(scale)
@@ -1215,8 +804,9 @@ class GpuConfigStack:
             feas_g, tpc_g = self._tpc_for(scale)
             tpc = tpc_g[self._gidx]
             wg_groups = tpc // self._local
+            fits = wg_groups >= 1
             resident = np.where(
-                wg_groups >= 1,
+                fits,
                 wg_groups * self._local,
                 np.maximum((tpc * 0.6).astype(np.int64), 1),
             )
@@ -1234,7 +824,11 @@ class GpuConfigStack:
                 ),
             )
             found = self._hiding_cache[scale] = (
-                feas_g[self._gidx], hiding, bandwidth_hiding
+                feas_g[self._gidx],
+                hiding,
+                bandwidth_hiding,
+                resident,
+                np.where(fits, wg_groups, 1),
             )
         return found
 
@@ -1243,8 +837,7 @@ class GpuConfigStack:
     ):
         """Rigorous per-cell lower bound on :meth:`rows` ``seconds``.
 
-        The roofline floor along the config axis (the stacked twin of
-        :func:`roofline_floor_seconds`'s idea):
+        The roofline floor along the config axis:
         ``max(arith_s, ls_s, dram_s) + schedule_s + launch_overhead``,
         dropping only the terms that can only increase the result —
         the atomic lane of the roofline max, the overlap leak and
@@ -1253,8 +846,10 @@ class GpuConfigStack:
         terms carry the *exact* occupancy-hiding and access-efficiency
         divisors of :meth:`rows` (they depend on the config only
         through the register-file scale); without it they assume
-        perfect hiding (divisors of one, still a valid floor since
-        every divisor is <= 1) and the additive tail is skipped.
+        perfect hiding and full access efficiency (divisors of one,
+        still a valid floor since every divisor is <= 1) and the
+        additive tail is skipped — the bound the pruned autotuner
+        orders and skips candidates by, valid for every local size.
 
         ``shader_cores`` / ``clock_hz`` may be scalars (returns a
         ``(cells,)`` array) or aligned arrays of k configs (returns
@@ -1286,7 +881,7 @@ class GpuConfigStack:
         if register_file_scale is None:
             floor = np.maximum(np.maximum(arith, ls), transfer[None, :])
         else:
-            _, hiding, bandwidth_hiding = self._hiding_for(register_file_scale)
+            hiding, bandwidth_hiding = self._hiding_for(register_file_scale)[1:3]
             # transfer is 0.0 exactly where there is no DRAM traffic,
             # so the division chain matches rows()'s literal 0.0 lane
             dram_s = transfer / bandwidth_hiding / self._access_eff
@@ -1326,14 +921,18 @@ class GpuConfigStack:
         log_cores = column([math.log(max(n, 2)) for n in cores])
         arith_denom = column([float(n * config.arith_pipes_per_core) for n in cores])
         ls_denom = column([float(n * config.ls_pipes_per_core) for n in cores])
-        feasible, hiding, bandwidth_hiding = rows_by_key(
+        feasible, hiding, bandwidth_hiding, threads, resident_groups = rows_by_key(
             register_file_scale, self._hiding_for
         )
         transfer = rows_by_key(drams, self._transfer_for)
 
-        # distribute(), vectorized (per_core > 0 always: n_wg >= 1)
+        # Job Manager distribution (per_core > 0 always: n_wg >= 1): the
+        # fullest core sets the finish time (quantization), and ragged
+        # per-group work makes the expected max of k cores' sums exceed
+        # the mean by cv * sqrt(2 ln k / n) for n groups per core
         per_core = self._n_wg_f / cores_f
-        quantization = np.ceil(per_core) / per_core
+        groups_per_core = np.ceil(per_core)
+        quantization = groups_per_core / per_core
         ragged = np.where(
             self._cv > 0.0,
             1.0 + self._cv * np.sqrt((2.0 * log_cores) / np.maximum(per_core, 1.0)),
@@ -1345,13 +944,24 @@ class GpuConfigStack:
         arith_s = self._arith_raw / arith_denom / clock / hiding
         ls_s = self._ls_raw / ls_denom / clock / hiding
         # transfer is 0.0 exactly where dram_bytes == 0, so the division
-        # chain lands on the scalar path's literal 0.0
+        # chain lands on the scalar reference's literal 0.0
         dram_s = transfer / bandwidth_hiding / self._access_eff
 
+        # local atomics serialize only within one core: 1/n_cores weight
         atomic_s = (self._atomic_cycles + self._atomic_local_cycles / cores_f) / clock
         barrier_s = self._barrier_cycles / clock / cores_f
 
-        peak = np.maximum(np.maximum(np.maximum(arith_s, ls_s), dram_s), atomic_s)
+        # the largest roofline binds (first wins on ties, in the order
+        # arith, ls, dram, atomic); a calibrated fraction of the rest
+        # leaks past the overlap
+        top2 = np.maximum(arith_s, ls_s)
+        top3 = np.maximum(top2, dram_s)
+        peak = np.maximum(top3, atomic_s)
+        bottleneck = np.where(
+            atomic_s > top3,
+            3,
+            np.where(dram_s > top2, 2, np.where(ls_s > arith_s, 1, 0)),
+        )
         leak = config.overlap_leak * ((((arith_s + ls_s) + dram_s) + atomic_s) - peak)
         parallel_s = (peak + leak) * imbalance + barrier_s
         seconds = parallel_s + schedule_s + config.launch_overhead_s
@@ -1369,4 +979,95 @@ class GpuConfigStack:
             lsu = np.where(bad, 0.0, lsu)
             dram_bw = np.where(bad, 0.0, dram_bw)
 
-        return GpuStackRows(feasible, seconds, alu, lsu, dram_bw, self._dram_bytes)
+        return GpuStackRows(
+            feasible=feasible,
+            seconds=seconds,
+            arith_seconds=arith_s,
+            ls_seconds=ls_s,
+            dram_seconds=dram_s,
+            atomic_seconds=atomic_s,
+            barrier_seconds=barrier_s,
+            schedule_seconds=schedule_s,
+            imbalance=imbalance,
+            bottleneck=bottleneck,
+            threads=threads,
+            resident_groups=resident_groups,
+            groups_per_core=groups_per_core,
+            quantization=quantization,
+            n_work_groups=self._n_wg_f,
+            alu_utilization=alu,
+            ls_utilization=lsu,
+            dram_bandwidth=dram_bw,
+            dram_bytes=self._dram_bytes,
+        )
+
+    def timings(self) -> tuple[GpuLaunchTiming, ...]:
+        """Every cell priced on the stack's own config, as records.
+
+        The k = 1 :meth:`rows` call on the base config and DRAM; ``tolist``
+        turns each lane into the exact Python float or int the record
+        holds.  Raises ``CL_OUT_OF_RESOURCES`` if a kernel does not fit
+        the config's register file.
+        """
+        config = self.config
+        r = self.rows(
+            shader_cores=(config.shader_cores,),
+            clock_hz=(config.clock_hz,),
+            register_file_scale=(config.register_file_scale,),
+            drams=(self.dram,),
+        )
+        for cell, ok in zip(self.cells, r.feasible[0].tolist()):
+            if not ok:
+                _require_fit(cell.compiled, config)
+        seconds, arith, ls, dram_s, atomic, barrier, schedule, imbalance = (
+            lane[0].tolist()
+            for lane in (
+                r.seconds,
+                r.arith_seconds,
+                r.ls_seconds,
+                r.dram_seconds,
+                r.atomic_seconds,
+                r.barrier_seconds,
+                r.schedule_seconds,
+                r.imbalance,
+            )
+        )
+        bottleneck, threads, groups, per_core, quantization = (
+            lane[0].tolist()
+            for lane in (
+                r.bottleneck,
+                r.threads,
+                r.resident_groups,
+                r.groups_per_core,
+                r.quantization,
+            )
+        )
+        n_wg = r.n_work_groups.tolist()
+        dram_bytes = r.dram_bytes.tolist()
+        return tuple(
+            GpuLaunchTiming(
+                seconds=seconds[i],
+                arith_seconds=arith[i],
+                ls_seconds=ls[i],
+                dram_seconds=dram_s[i],
+                atomic_seconds=atomic[i],
+                barrier_seconds=barrier[i],
+                schedule_seconds=schedule[i],
+                launch_overhead_seconds=config.launch_overhead_s,
+                imbalance_factor=imbalance[i],
+                occupancy=Occupancy(
+                    threads_per_core=threads[i],
+                    resident_groups=groups[i],
+                    local_size=cell.local_size,
+                ),
+                distribution=Distribution(
+                    n_work_groups=int(n_wg[i]),
+                    groups_per_core_max=int(per_core[i]),
+                    quantization_factor=quantization[i],
+                    schedule_seconds=schedule[i],
+                ),
+                dram_bytes=dram_bytes[i],
+                bottleneck=_BOTTLENECKS[bottleneck[i]],
+            )
+            for i, cell in enumerate(self.cells)
+        )

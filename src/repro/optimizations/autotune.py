@@ -21,11 +21,12 @@ Two search strategies produce the same selection:
   (register exhaustion is local-size-independent, so one failure
   condemns the whole group: infeasibility memoization), order the
   surviving candidates by an optimistic roofline lower bound
-  (:func:`repro.mali.timing.roofline_floor_seconds`), and skip any
-  candidate whose *best case* is already slower than the incumbent's
-  measured time.  Skipping only strictly-worse candidates and keeping
-  trials in canonical candidate order makes the selected best — ties
-  included — provably identical to ``exhaustive``'s.
+  (:meth:`repro.mali.timing.GpuConfigStack.floor_seconds` on a
+  one-cell stack), and skip any candidate whose *best case* is already
+  slower than the incumbent's measured time.  Skipping only
+  strictly-worse candidates and keeping trials in canonical candidate
+  order makes the selected best — ties included — provably identical
+  to ``exhaustive``'s.
 """
 
 from __future__ import annotations
@@ -128,8 +129,9 @@ def _sweep_exhaustive(bench, candidates) -> tuple[TuneTrial, ...]:
 
 def _sweep_pruned(bench, candidates) -> tuple[TuneTrial, ...]:
     from ..compiler.pipeline import compile_kernel
-    from ..mali.timing import roofline_floor_seconds
+    from ..mali.timing import GpuConfigStack
     from ..ocl.driver import default_quirks
+    from ..pricing.cells import GpuLaunchCell
 
     platform = bench.platform
     quirks = (
@@ -165,8 +167,19 @@ def _sweep_pruned(bench, candidates) -> tuple[TuneTrial, ...]:
         # no occupancy/imbalance/overhead penalties.  Always <= the
         # estimate for every local size, so pruning on it is safe.
         n_items = max(1, math.ceil(bench.gpu_work_items() / compiled.elems_per_item))
-        floor = roofline_floor_seconds(
-            compiled, n_items, bench.gpu_traits(options), platform.mali, dram, caches
+        cell = GpuLaunchCell(
+            compiled=compiled,
+            traits=bench.gpu_traits(options),
+            n_items=n_items,
+            local_size=1,  # the perfect-hiding floor reads no local size
+        )
+        stack = GpuConfigStack((cell,), platform.mali, dram, caches)
+        floor = float(
+            stack.floor_seconds(
+                dram,
+                shader_cores=platform.mali.shader_cores,
+                clock_hz=platform.mali.clock_hz,
+            )[0]
         )
         for index in indices:
             floors[index] = floor

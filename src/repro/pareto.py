@@ -1,24 +1,23 @@
 """Deterministic Pareto machinery (minimize two objectives).
 
-Three interchangeable views of the same non-dominated set over points
+Two interchangeable views of the same non-dominated set over points
 carrying ``(seconds, energy_j)`` objectives (both minimized) and an
 optional ``feasible`` flag:
 
 * :func:`skyline` — the sort-based O(n log n) sweep used everywhere;
-* :func:`skyline_reference` — the O(n²) all-pairs scan it replaced,
-  kept as the property-test oracle and the benchmark baseline;
 * :class:`OnlineFrontier` — an incremental accumulator that maintains
   the frontier as points arrive one chunk at a time, used by the
   streaming design-space driver so dominated points can be discarded
   the moment they are priced.
 
-All three return/hold *exactly* the same point set in the same
+Both return/hold *exactly* the same point set in the same
 deterministic order — sorted by :func:`point_key` — for any input,
 including ties (equal ``(seconds, energy)`` pairs all survive: neither
 strictly dominates the other), duplicated coordinates, infeasible
 entries (always excluded) and arbitrary arrival order for the online
 form.  ``tests/property/test_pareto_properties.py`` holds the
-hypothesis proofs.
+hypothesis proofs against the O(n²) all-pairs scan in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "point_key",
     "strictly_dominates",
     "skyline",
-    "skyline_reference",
     "OnlineFrontier",
 ]
 
@@ -61,7 +59,7 @@ def skyline(points, key=point_key) -> tuple:
     both coordinates all survive — none strictly dominates another);
     everything else in the group is dominated either by an earlier
     point (``s' < s``, ``e' <= e``) or by a group sibling (``s`` equal,
-    ``e'`` smaller).  Value-identical to :func:`skyline_reference`.
+    ``e'`` smaller).  Value-identical to an O(n²) all-pairs scan.
     """
     feasible = sorted((p for p in points if _is_feasible(p)), key=key)
     out = []
@@ -82,18 +80,6 @@ def skyline(points, key=point_key) -> tuple:
         while i < n and key(feasible[i])[0] == s:
             i += 1
     return tuple(out)
-
-
-def skyline_reference(points, key=point_key) -> tuple:
-    """The O(n²) all-pairs frontier — oracle for :func:`skyline`."""
-    feasible = [p for p in points if _is_feasible(p)]
-    keys = [key(p) for p in feasible]
-    front = [
-        p
-        for p, kp in zip(feasible, keys)
-        if not any(strictly_dominates(kq[0], kq[1], kp[0], kp[1]) for kq in keys)
-    ]
-    return tuple(sorted(front, key=key))
 
 
 class OnlineFrontier:

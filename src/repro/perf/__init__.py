@@ -47,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import threading
-import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -94,8 +93,6 @@ _ENABLED = True
 
 _STORE: PersistentStore | None = None
 
-_UNSET = object()
-
 
 @dataclass(frozen=True)
 class PerfConfig:
@@ -105,9 +102,8 @@ class PerfConfig:
     disk tier — a path, an attached :class:`PersistentStore` (so a
     caller can save and restore the store object, counters included), or
     ``None`` for memory-only.  Pass to ``configure(config=...)``; read
-    the current state back with :func:`current_config`.  The dataclass
-    replaces ``configure``'s grown keyword set with one value that can be
-    captured, compared, and restored atomically.
+    the current state back with :func:`current_config`.  One value that
+    can be captured, compared, and restored atomically.
     """
 
     enabled: bool = True
@@ -124,44 +120,20 @@ def current_config() -> PerfConfig:
     return PerfConfig(enabled=_ENABLED, persist_dir=_STORE)
 
 
-def configure(
-    config: PerfConfig | None = None, *, enabled: bool | None = None, persist_dir=_UNSET
-) -> None:
-    """Adjust the fast lane process-wide.
+def configure(config: PerfConfig) -> None:
+    """Apply a whole fast-lane configuration atomically.
 
-    The one supported path is ``configure(config=PerfConfig(...))``,
-    which applies the *whole* configuration atomically.  The legacy
-    keywords remain as a shim — ``enabled`` switches both tiers on or
-    off, ``persist_dir`` attaches the disk tier (a path, an existing
-    :class:`PersistentStore`, or ``None`` to detach), and omitted
-    keywords leave their setting untouched — but they emit a single
-    :class:`DeprecationWarning` and cannot be mixed with ``config``.
+    ``config.enabled`` switches both tiers on or off; ``persist_dir``
+    attaches the disk tier (a path or an existing
+    :class:`PersistentStore`) or detaches it (``None``).
     """
     global _ENABLED, _STORE
-    if config is not None:
-        if enabled is not None or persist_dir is not _UNSET:
-            raise ValueError("pass either config= or the legacy keywords, not both")
-        _ENABLED = bool(config.enabled)
-        store = config.persist_dir
-        if store is None or isinstance(store, PersistentStore):
-            _STORE = store
-        else:
-            _STORE = PersistentStore(store)
-        return
-    if enabled is not None or persist_dir is not _UNSET:
-        warnings.warn(
-            "perf.configure(enabled=..., persist_dir=...) keywords are deprecated; "
-            "pass perf.configure(config=perf.PerfConfig(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    if enabled is not None:
-        _ENABLED = bool(enabled)
-    if persist_dir is not _UNSET:
-        if persist_dir is None or isinstance(persist_dir, PersistentStore):
-            _STORE = persist_dir
-        else:
-            _STORE = PersistentStore(persist_dir)
+    _ENABLED = bool(config.enabled)
+    store = config.persist_dir
+    if store is None or isinstance(store, PersistentStore):
+        _STORE = store
+    else:
+        _STORE = PersistentStore(store)
 
 
 def persistent_store() -> PersistentStore | None:

@@ -100,7 +100,7 @@ def seed_cpu_timing(bench, versions) -> int:
     timings are priced in one vectorized pass and seeded under the exact
     content keys ``run_cpu_version`` builds, so each cell's own lookup
     hits both tiers.  Values are bitwise what the per-cell path computes
-    (``time_serial``/``time_openmp`` shim through the same pricer), so
+    (``time_serial``/``time_openmp`` price through the same kernel), so
     results are identical with seeding on or off.  Returns the number of
     cells seeded; a no-op when the fast lane is disabled.
     """

@@ -8,7 +8,7 @@ in ``future.result()`` forever and stall the whole suite (and CI).
 a hang into an ordinary test failure instead.
 
 ``pytest --hypothesis-profile=heavy`` raises the example count of the
-property modules that size their runs with ``examples(n)``; the CI
+properties that size their runs with :func:`examples`; the CI
 perf-smoke job runs that pass, so rare counterexamples surface there.
 """
 
@@ -22,6 +22,14 @@ from hypothesis import settings
 DEFAULT_GUARD_S = 120
 
 settings.register_profile("heavy", max_examples=5000, deadline=None)
+
+
+def examples(n: int) -> int:
+    """``n``, or the loaded hypothesis profile's ``max_examples`` when
+    that is larger: ``--hypothesis-profile=heavy`` runs every property
+    sized with this at the heavy count.
+    """
+    return max(n, settings.default.max_examples)
 
 
 @pytest.fixture(autouse=True)

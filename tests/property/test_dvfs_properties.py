@@ -25,14 +25,7 @@ from repro.power.dvfs import (
     select_opp,
     utilization,
 )
-
-
-def examples(n: int) -> int:
-    """``n``, or the loaded hypothesis profile's ``max_examples`` when
-    that is larger: ``--hypothesis-profile=heavy`` (registered in
-    ``tests/conftest.py``) runs every property here at the heavy count.
-    """
-    return max(n, settings.default.max_examples)
+from tests.conftest import examples
 
 
 # ---------------------------------------------------------------------------

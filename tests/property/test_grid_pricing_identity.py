@@ -7,10 +7,10 @@ cells are priced through the vectorized ``repro.pricing`` models or
 through the scalar reference implementations cell by cell, and whether
 the engine runs in-process or on a worker pool.
 
-The scalar world is forced by (a) ``perf.disabled()``, which drops
-``LaunchPricer.price`` to the uncached scalar GPU path and bypasses
-every memo tier, and (b) monkeypatching ``CpuPricingModel`` to the
-scalar ``_time_serial_scalar``/``_time_openmp_scalar`` references.
+The scalar world is forced by (a) ``perf.disabled()``, which bypasses
+every memo tier, and (b) monkeypatching ``LaunchPricer.price`` and
+``CpuPricingModel`` to the naive references in ``tests/oracles.py``
+(``_time_launch_uncached``, ``_time_serial_scalar``/``_time_openmp_scalar``).
 """
 
 from __future__ import annotations
@@ -25,11 +25,16 @@ from hypothesis import strategies as st
 from repro import perf
 from repro.benchmarks.base import Precision, Version
 from repro.benchmarks.registry import PAPER_ORDER
-from repro.cpu.openmp import _time_openmp_scalar
-from repro.cpu.serial import _time_serial_scalar
 from repro.cpu.pricing import CpuPricingModel
 from repro.experiments.runner import run_grid
+from repro.mali.timing import LaunchPricer
 from repro.pricing import MODE_SERIAL
+from tests.oracles import (
+    _time_launch_uncached,
+    _time_openmp_scalar,
+    _time_serial_scalar,
+    facade_rows,
+)
 
 BOTH_PRECISIONS = (Precision.SINGLE, Precision.DOUBLE)
 
@@ -43,12 +48,20 @@ def _scalar_price(self, cells):
     return tuple(_scalar_price_one(self, cell) for cell in cells)
 
 
+def _scalar_launch(self, n_items, local_size):
+    return _time_launch_uncached(
+        self.compiled, n_items, local_size, self.traits, self.config, self.dram,
+        self.caches, self.concurrent_agents,
+    )
+
+
 @contextmanager
 def scalar_pricing():
     """Every model evaluation through the scalar references, no caches."""
     with perf.disabled():
         with mock.patch.object(CpuPricingModel, "price_one", _scalar_price_one), \
-                mock.patch.object(CpuPricingModel, "price", _scalar_price):
+                mock.patch.object(CpuPricingModel, "price", _scalar_price), \
+                mock.patch.object(LaunchPricer, "price", _scalar_launch):
             yield
 
 
@@ -155,7 +168,7 @@ def test_random_soc_configs_stacked_rows_match_facade(knob_sets):
     perf.reset()
     space = DesignSpace(benchmarks=("vecop", "red"), scale=0.1)
     for config in configs:
-        _assert_rows_bitwise(space.stacked_rows([config]), space.facade_rows(config))
+        _assert_rows_bitwise(space.stacked_rows([config]), facade_rows(space, config))
 
 
 _MIXED_KNOBS = st.fixed_dictionaries(
@@ -202,7 +215,7 @@ def test_batched_rows_match_facade_per_config(mixed_space, knob_sets):
     assert batched.gpu_seconds.shape == (len(configs), len(mixed_space.gpu_cells))
     assert batched.cpu_seconds.shape == (len(configs), len(mixed_space.cpu_cells))
     for i, config in enumerate(configs):
-        _assert_rows_bitwise(_row(batched, i), mixed_space.facade_rows(config))
+        _assert_rows_bitwise(_row(batched, i), facade_rows(mixed_space, config))
         _assert_rows_bitwise(_row(batched, i), mixed_space.stacked_rows([config]))
 
 
@@ -229,7 +242,7 @@ def test_fully_infeasible_config_in_a_batch(mixed_space):
     assert np.isinf(batched.gpu_seconds[0, span]).all()
     assert batched.gpu_feasible[1, span].all()
     for i, config in enumerate(configs):
-        _assert_rows_bitwise(_row(batched, i), mixed_space.facade_rows(config))
+        _assert_rows_bitwise(_row(batched, i), facade_rows(mixed_space, config))
     opt = [
         p for p in mixed_space.points(configs, batched)
         if (p.benchmark, p.precision, p.version) == ("nbody", "double", "Opt")
@@ -264,26 +277,13 @@ def test_platform_varies_only_stacked_axes(knobs):
 
 def test_design_space_jobs_pool_matches_inline():
     """jobs=4 shards configs over a process pool; the reassembled points
-    are exactly the jobs=1 points (both engines)."""
+    are exactly the jobs=1 points."""
     from repro.calibration.socspace import config_grid
     from repro.designspace import evaluate_space
 
     configs = config_grid(gpu_cores=(2, 4), register_file_scale=(0.25, 1.0))
-    for engine in ("stacked", "facade"):
-        perf.reset()
-        inline = evaluate_space(
-            configs, benchmarks=("vecop", "hist"), scale=0.1, jobs=1, engine=engine
-        )
-        perf.reset()
-        pooled = evaluate_space(
-            configs, benchmarks=("vecop", "hist"), scale=0.1, jobs=4, engine=engine
-        )
-        assert pooled.points == inline.points
-
     perf.reset()
-    stacked = evaluate_space(configs, benchmarks=("vecop", "hist"), scale=0.1)
+    inline = evaluate_space(configs, benchmarks=("vecop", "hist"), scale=0.1, jobs=1)
     perf.reset()
-    facade = evaluate_space(
-        configs, benchmarks=("vecop", "hist"), scale=0.1, engine="facade"
-    )
-    assert stacked.points == facade.points
+    pooled = evaluate_space(configs, benchmarks=("vecop", "hist"), scale=0.1, jobs=4)
+    assert pooled.points == inline.points

@@ -4,7 +4,7 @@ Three families of hypothesis proofs back the streaming design-space
 driver (see ``repro.pareto`` / ``repro.designspace``):
 
 * :func:`repro.pareto.skyline` returns exactly the same tuple as the
-  O(n^2) all-pairs :func:`repro.pareto.skyline_reference` for any point
+  O(n^2) all-pairs :func:`tests.oracles.skyline_reference` for any point
   cloud — ties on one or both coordinates, duplicated points, infeasible
   entries, single points, empty clouds;
 * :class:`repro.pareto.OnlineFrontier` is arrival-order independent:
@@ -33,9 +33,9 @@ from repro.pareto import (
     OnlineFrontier,
     point_key,
     skyline,
-    skyline_reference,
     strictly_dominates,
 )
+from tests.oracles import skyline_reference
 
 # small value pools => dense ties and exact duplicates
 _COORDS = st.sampled_from((0.25, 0.5, 1.0, 1.0, 2.0, 3.0, 5.0))

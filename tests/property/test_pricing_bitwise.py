@@ -6,27 +6,32 @@ computes for that cell — including the DP register-exhaustion occupancy
 collapse and the sequential-reduction accumulation order.  These tests
 compare full result dataclasses with ``==`` (no ``approx``) across the
 CPU, GPU, DRAM and power layers, with hypothesis driving randomized
-byte mixes and activity sequences.
+byte mixes, activity sequences and SoC configs.  The references are the
+naive scalar oracles in ``tests/oracles.py``; the properties are sized
+with :func:`tests.conftest.examples`, so ``--hypothesis-profile=heavy``
+runs them at the heavy count.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import perf
 from repro.benchmarks.base import Precision, cpu_pricing_inputs
 from repro.benchmarks.registry import create
 from repro.calibration.exynos5250 import default_platform
+from repro.calibration.socspace import SoCConfig
 from repro.compiler.options import NAIVE, CompileOptions
 from repro.compiler.pipeline import compile_kernel
-from repro.cpu.openmp import _time_openmp_scalar
-from repro.cpu.serial import _time_serial_scalar
+from repro.cpu.pricing import CpuConfigStack
+from repro.errors import CLOutOfResources
 from repro.ir.nodes import AccessPattern
-from repro.mali.timing import _time_launch_uncached
+from repro.mali.timing import GpuConfigStack
 from repro.ocl.driver import default_quirks
 from repro.power.rails import Activity, ActivityKind
 from repro.pricing import (
@@ -36,6 +41,12 @@ from repro.pricing import (
     GpuLaunchCell,
     TraceCell,
     TransferCell,
+)
+from tests.conftest import examples
+from tests.oracles import (
+    _time_launch_uncached,
+    _time_openmp_scalar,
+    _time_serial_scalar,
 )
 
 CPU_PROBES = ("vecop", "hist", "dmmm", "nbody")
@@ -166,6 +177,130 @@ def test_gpu_dp_wide_probe_compiles_somewhere():
 
 
 # ---------------------------------------------------------------------------
+# non-board SoC configs: the kernel vs the oracle on config.platform()
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _candidate_cells():
+    """Every compiled tuner candidate of all nine benchmarks, SP and DP,
+    as launch cells, plus each benchmark's Serial and OpenMP cells."""
+    from repro.designspace import DesignSpace
+
+    space = DesignSpace(scale=0.05)
+    return space.gpu_cells, space.cpu_cells
+
+
+_SOC_CONFIGS = st.builds(
+    SoCConfig,
+    name=st.just("drawn"),
+    gpu_cores=st.integers(min_value=1, max_value=32),
+    gpu_clock_hz=st.floats(min_value=100e6, max_value=2e9),
+    cpu_cores=st.integers(min_value=1, max_value=16),
+    cpu_clock_hz=st.floats(min_value=200e6, max_value=4e9),
+    dram_gbps=st.floats(min_value=1.0, max_value=100.0),
+    # below 1.0 the register-hungry DP candidates stop fitting
+    register_file_scale=st.sampled_from((0.125, 0.25, 0.5, 1.0, 2.0, 4.0))
+    | st.floats(min_value=0.125, max_value=4.0),
+    rail_scale=st.floats(min_value=0.1, max_value=10.0),
+)
+
+#: GpuLaunchTiming fields with a (configs × cells) lane in the stack rows
+_GPU_LANES = (
+    ("seconds", "seconds"),
+    ("arith_seconds", "arith_seconds"),
+    ("ls_seconds", "ls_seconds"),
+    ("dram_seconds", "dram_seconds"),
+    ("atomic_seconds", "atomic_seconds"),
+    ("barrier_seconds", "barrier_seconds"),
+    ("schedule_seconds", "schedule_seconds"),
+    ("imbalance", "imbalance_factor"),
+)
+_CPU_LANES = (
+    "seconds",
+    "compute_seconds",
+    "mem_stall_seconds",
+    "dram_seconds",
+    "overhead_seconds",
+    "active_cores",
+    "ipc",
+)
+
+
+@given(config=_SOC_CONFIGS, data=st.data())
+@settings(
+    max_examples=examples(30),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_non_board_configs_match_oracle(config, data):
+    """A random SoC and a random SP/DP candidate subset: the kernel's
+    records on ``config.platform()`` equal the oracle's, and so do the
+    design-space lanes (the Exynos stacks with the config's knobs as
+    columns); an infeasible lane raises ``CL_OUT_OF_RESOURCES`` on both
+    sides."""
+    gpu_pool, cpu_pool = _candidate_cells()
+    gpu_idx = data.draw(
+        st.lists(
+            st.integers(0, len(gpu_pool) - 1), min_size=1, max_size=8, unique=True
+        ),
+        label="gpu cells",
+    )
+    cpu_idx = data.draw(
+        st.lists(
+            st.integers(0, len(cpu_pool) - 1), min_size=1, max_size=4, unique=True
+        ),
+        label="cpu cells",
+    )
+    gpu_cells = [gpu_pool[i] for i in gpu_idx]
+    cpu_cells = [cpu_pool[i] for i in cpu_idx]
+    platform = config.platform()
+    pricing = platform.pricing_model()
+    dram = pricing.dram_model
+    base = default_platform()
+
+    rows = GpuConfigStack(
+        gpu_cells, base.mali, base.dram_model(), base.gpu_caches()
+    ).rows(
+        shader_cores=[config.gpu_cores],
+        clock_hz=[config.gpu_clock_hz],
+        register_file_scale=[config.register_file_scale],
+        drams=[dram],
+    )
+    for i, cell in enumerate(gpu_cells):
+        try:
+            expected = _time_launch_uncached(
+                cell.compiled, cell.n_items, cell.local_size, cell.traits,
+                platform.mali, dram, pricing.gpu_caches,
+            )
+        except CLOutOfResources:
+            with pytest.raises(CLOutOfResources):
+                pricing.gpu.price_one(cell)
+            assert not rows.feasible[0, i]
+            continue
+        assert pricing.gpu.price_one(cell) == expected  # full record, bitwise
+        assert rows.feasible[0, i]
+        for lane, field in _GPU_LANES:
+            assert getattr(rows, lane)[0, i] == getattr(expected, field), lane
+        assert ("arith", "ls", "dram", "atomic")[rows.bottleneck[0, i]] == expected.bottleneck
+
+    expected = tuple(
+        (_time_serial_scalar if cell.mode == MODE_SERIAL else _time_openmp_scalar)(
+            cell.mix, cell.n_elements, cell.traits, platform.cpu, dram,
+            pricing.cpu_caches,
+        )
+        for cell in cpu_cells
+    )
+    assert pricing.cpu.price(cpu_cells) == expected
+    rows = CpuConfigStack(
+        cpu_cells, base.cpu, base.dram_model(), base.cpu_caches()
+    ).rows(cores=[config.cpu_cores], clock_hz=[config.cpu_clock_hz], drams=[dram])
+    for i, timing in enumerate(expected):
+        for lane in _CPU_LANES:
+            assert getattr(rows, lane)[0, i] == getattr(timing, lane), lane
+
+
+# ---------------------------------------------------------------------------
 # DRAM layer (hypothesis: randomized byte mixes, order-sensitive dicts)
 # ---------------------------------------------------------------------------
 
@@ -181,7 +316,7 @@ _patterns = st.permutations(list(AccessPattern)).flatmap(
     agent=st.sampled_from(["cpu1", "cpu2", "gpu"]),
     agents=st.integers(min_value=1, max_value=3),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_dram_batched_equals_scalar(mixes, agent, agents):
     platform = default_platform()
     dram = platform.dram_model()
@@ -216,7 +351,7 @@ _activity = st.builds(
 
 
 @given(traces=st.lists(st.lists(_activity, min_size=1, max_size=5), min_size=1, max_size=4))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_power_batched_equals_scalar(traces):
     platform = default_platform()
     board = platform.power_model()

@@ -80,7 +80,7 @@ def test_equivalence_with_persistent_tier(tmp_path):
     perturbing selection: cold-tier and warm-tier sweeps both match
     exhaustive search."""
     perf.reset()
-    perf.configure(persist_dir=tmp_path)
+    perf.configure(config=perf.PerfConfig(persist_dir=tmp_path))
     try:
         for name in ("vecop", "dmmm"):
             assert_equivalent(create(name, precision=Precision.SINGLE, scale=0.25))
@@ -89,7 +89,7 @@ def test_equivalence_with_persistent_tier(tmp_path):
             assert_equivalent(create(name, precision=Precision.SINGLE, scale=0.25))
     finally:
         perf.reset()
-        perf.configure(persist_dir=None)
+        perf.configure(config=perf.PerfConfig())
 
 
 def test_scalar_lane_selects_identically():

@@ -39,10 +39,10 @@ ERROR_ARGS = {
 def _cold_detached_lane():
     """Tests start and end cold, enabled, and with no store attached."""
     perf.reset()
-    perf.configure(enabled=True, persist_dir=None)
+    perf.configure(config=perf.PerfConfig())
     yield
     perf.reset()
-    perf.configure(enabled=True, persist_dir=None)
+    perf.configure(config=perf.PerfConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ class TestTwoTierIntegration:
         assert not perf.cache("functional").persist
 
     def test_disk_hit_after_memory_reset(self, tmp_path):
-        perf.configure(persist_dir=tmp_path)
+        perf.configure(config=perf.PerfConfig(persist_dir=tmp_path))
         calls = []
         c = perf.cache("gpu_timing")
         assert c.get_or_compute(("k",), lambda: calls.append(1) or 42) == 42
@@ -142,7 +142,7 @@ class TestTwoTierIntegration:
         assert perf.counters()["gpu_timing"]["disk_hits"] == 1
 
     def test_negative_entry_survives_processes_worth_of_state(self, tmp_path):
-        perf.configure(persist_dir=tmp_path)
+        perf.configure(config=perf.PerfConfig(persist_dir=tmp_path))
         c = perf.cache("compile")
         calls = []
 
@@ -186,7 +186,7 @@ class TestTwoTierIntegration:
         assert set(snap) == {"hits", "misses", "evictions"}
 
     def test_disk_counters_only_on_persisted_caches(self, tmp_path):
-        perf.configure(persist_dir=tmp_path)
+        perf.configure(config=perf.PerfConfig(persist_dir=tmp_path))
         perf.cache("gpu_timing").get_or_compute(("k",), lambda: 1)
         perf.cache("functional").get_or_compute(("k",), lambda: 1)
         snap = perf.counters()
@@ -194,7 +194,7 @@ class TestTwoTierIntegration:
         assert set(snap["functional"]) == {"hits", "misses", "evictions"}
 
     def test_reset_zeroes_disk_stats_but_keeps_entries(self, tmp_path):
-        perf.configure(persist_dir=tmp_path)
+        perf.configure(config=perf.PerfConfig(persist_dir=tmp_path))
         store = perf.persistent_store()
         perf.cache("gpu_timing").get_or_compute(("k",), lambda: 1)
         assert store.tier_stats("gpu_timing").writes == 1
@@ -210,7 +210,7 @@ class TestTwoTierIntegration:
         assert merged == {"a": {"hits": 3, "disk_hits": 2, "misses": 1}}
 
     def test_disabled_lane_bypasses_both_tiers(self, tmp_path):
-        perf.configure(persist_dir=tmp_path)
+        perf.configure(config=perf.PerfConfig(persist_dir=tmp_path))
         with perf.disabled():
             assert perf.cache("gpu_timing").get_or_compute(("k",), lambda: 7) == 7
         assert perf.persistent_store().entries() == {}
@@ -341,8 +341,9 @@ class TestLaunchPricerBitwise:
     @pytest.mark.parametrize("precision", (Precision.SINGLE, Precision.DOUBLE))
     def test_vectorized_equals_scalar_reference(self, name, precision):
         from repro.compiler.pipeline import compile_kernel
-        from repro.mali.timing import LaunchPricer, _time_launch_uncached
+        from repro.mali.timing import LaunchPricer
         from repro.ocl.driver import default_quirks, driver_local_size
+        from tests.oracles import _time_launch_uncached
 
         bench = create(name, precision=precision, scale=0.05)
         bench.setup()
@@ -369,7 +370,8 @@ class TestLaunchPricerBitwise:
                 bench.platform.gpu_caches(),
             )
             pricer = LaunchPricer(compiled, *args)
-            got = pricer._compute(n_items, local)
+            with perf.disabled():
+                got = pricer.price(n_items, local)
             ref = _time_launch_uncached(compiled, n_items, local, *args)
             assert got == ref  # full dataclass equality: every float bitwise
             # the pricer's memo key is the historical time_launch key, so

@@ -43,8 +43,12 @@ from repro.pricing.grid import (
 
 @pytest.fixture(autouse=True)
 def _fresh_perf():
+    """Empty caches around every test, and the lane configuration (which
+    ``TestPerfConfig`` changes) restored after it."""
     perf.reset()
+    config = perf.current_config()
     yield
+    perf.configure(config=config)
     perf.reset()
 
 
@@ -109,19 +113,6 @@ class TestPerfConfig:
     def test_frozen(self):
         with pytest.raises(Exception):
             perf.current_config().enabled = False
-
-    def test_legacy_keywords_still_work_but_warn(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            perf.configure(enabled=False)
-        assert not perf.is_enabled()
-        with pytest.warns(DeprecationWarning):
-            perf.configure(enabled=True, persist_dir=tmp_path)
-        assert perf.is_enabled()
-        assert perf.persistent_store() is not None
-
-    def test_config_and_keywords_are_exclusive(self):
-        with pytest.raises(ValueError):
-            perf.configure(config=perf.PerfConfig(), enabled=False)
 
     def test_exported(self):
         assert "PerfConfig" in perf.__all__
