@@ -198,8 +198,8 @@ class RunResult:
         budget_s: float,
         governor: str | None = None,
     ) -> "RunResult":
-        """A cell demoted by the campaign watchdog for overrunning its
-        wall-clock budget.
+        """A cell demoted by the campaign's budget check for overrunning
+        its wall-clock budget.
 
         The ``failure`` text carries only the budget (not the measured
         overrun), so it is byte-identical whether the hang was caught in

@@ -5,6 +5,7 @@ from .engine import (
     Campaign,
     CampaignReport,
     CampaignSpec,
+    ChunkLost,
     Clock,
     DeadlineExceeded,
     RunTask,
@@ -19,9 +20,7 @@ from .protocol import (
 )
 from .remote import (
     HandshakeRejected,
-    PoolExhausted,
     RemoteWorkerPool,
-    WorkerLost,
     WorkerServer,
     serve_worker,
 )
@@ -50,6 +49,7 @@ __all__ = [
     "CampaignReport",
     "CampaignSpec",
     "CellDelta",
+    "ChunkLost",
     "Clock",
     "ConnectionClosed",
     "DeadlineExceeded",
@@ -60,11 +60,9 @@ __all__ = [
     "JsonlTraceSink",
     "ListTraceSink",
     "PROTOCOL_VERSION",
-    "PoolExhausted",
     "ProtocolError",
     "RegressionReport",
     "RemoteWorkerPool",
-    "WorkerLost",
     "WorkerServer",
     "FigureSeries",
     "Metric",

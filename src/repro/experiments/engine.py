@@ -1,63 +1,55 @@
 """Campaign engine: plan, parallelize, cache and trace the grid.
 
 The reproduction's experiment grid (benchmark × version × precision)
-used to be a serial triple loop; this module turns it into a planned
-**campaign** of independent run tasks:
+is planned into a **campaign** of independent run tasks:
 
 * :class:`CampaignSpec` — a frozen, hashable description of the grid
   and its run parameters (scale, seed, platform), with content
   fingerprints for archiving and cache addressing;
 * :class:`Campaign` — plans the spec into :class:`RunTask` units and
-  executes them either in-process (``jobs=1``, bit-for-bit the classic
-  serial path, handy for determinism debugging) or on a
-  ``ProcessPoolExecutor`` (``jobs=N``), producing a
-  :class:`~repro.experiments.runner.ResultSet` whose ``to_json()`` is
-  byte-identical either way;
-* a content-addressed on-disk cache (:mod:`repro.experiments.cache`)
-  so figures, examples and benches reuse runs across invocations;
-* structured tracing (:mod:`repro.experiments.trace`) of every run's
-  queued/started/finished lifecycle;
-* :class:`CampaignReport` — the aggregate accounting (cache hits,
-  failures, crashes, retries, wall time) of one ``Campaign.run()``.
+  executes them in-process (``jobs=1``, bit-for-bit the classic serial
+  path), on a local process pool (``jobs=N``) or on remote workers,
+  producing a :class:`~repro.experiments.runner.ResultSet` whose
+  ``to_json()`` is byte-identical every way;
+* a content-addressed on-disk cache (:mod:`repro.experiments.cache`),
+  structured tracing (:mod:`repro.experiments.trace`) and a
+  :class:`CampaignReport` of cache hits, failures, crashes, retries
+  and wall time.
 
 Every cell of the grid is a pure function of the spec (benchmarks
-consume their RNG only during setup), which is what makes both the
-process pool and the cache sound.
+consume their RNG only during setup), which is what makes both
+parallel execution and the cache sound.
 
-Execution is **crash-proof**: an unexpected exception inside a cell is
-captured as a failed :class:`RunResult` with ``failure_kind="crash"``
-instead of aborting the campaign, and a pool worker death
-(``BrokenProcessPool``) triggers a pool rebuild plus a retry ladder at
-progressively finer granularity — family, then version-group, then
-single task — until the faulty cell is isolated on a dedicated probe
-pool and, if it keeps killing workers, demoted to a crashed result
-while every other cell still completes.  Even a terminal error (e.g.
-``KeyboardInterrupt``) leaves behind a salvaged partial ``ResultSet``
-(:attr:`Campaign.salvage`), a fresh report, and a ``campaign_failed``
-trace event.
+**One executor contract.**  The local pool (:class:`LocalPool`) and
+the remote tier (:class:`~repro.experiments.remote.RemoteWorkerPool`)
+implement the same :class:`Executor` interface: ``submit`` a chunk and
+get a future of its rows or one :class:`ChunkLost`; ``probe`` a
+suspect task on an isolated lane; ``abort`` an overrunning chunk;
+``exhausted``; ``poll`` for queued trace events.  One driver loop
+(:meth:`Campaign._drive`) runs either executor, enforces the chunk
+budget and the campaign deadline on the injectable :class:`Clock`, and
+feeds lost chunks to one recovery ladder — family, then version group,
+then single task, then jittered backoff, then an isolated probe that
+either clears the cell or convicts it as a ``failure_kind="crash"``
+result; a single task that overran ``cell_timeout_s`` is convicted as
+``failure_kind="timeout"`` without a probe.  When every remote worker
+is gone the remainder runs locally (``tier_degraded``).
 
-Since PR 5 the engine is also **kill-proof and budget-aware**:
+Crash- and kill-proofing:
 
+* an unexpected exception inside a cell is captured as a crashed
+  :class:`RunResult`; a terminal error (e.g. ``KeyboardInterrupt``, or
+  :class:`DeadlineExceeded`) leaves a salvaged partial ``ResultSet``
+  (:attr:`Campaign.salvage`), a fresh report and a ``campaign_failed``
+  trace event;
 * ``Campaign.run(journal_dir=...)`` appends an fsync'd JSONL journal
   (:mod:`repro.experiments.journal`) of every completed cell, so a
-  campaign whose *orchestrating process* is SIGKILLed resumes with
-  :meth:`Campaign.resume` (or the ``repro resume`` CLI verb) — replayed
-  cells are skipped, the rest execute, and the final ``ResultSet`` is
-  byte-identical to an uninterrupted run;
-* ``cell_timeout_s`` / ``deadline_s`` arm a **deadline watchdog**: on
-  the pool path a monitor thread (:class:`_Watchdog`) kills workers
-  whose chunk overran its budget, the retry ladder narrows the hang to
-  a single cell, and that cell is demoted to a
-  ``failure_kind="timeout"`` result; in-process runs guard each cell
-  with a SIGALRM timer.  A campaign that overruns ``deadline_s``
-  terminates with :class:`DeadlineExceeded` — through the salvage path,
-  so the journal + partial results make the remainder resumable;
-* on-disk tiers that hit resource exhaustion (ENOSPC / EACCES)
-  *degrade* instead of failing the run — see
-  :meth:`repro.experiments.cache.RunCache.store` and
-  :meth:`repro.perf.persist.PersistentStore.store` — and the campaign
-  surfaces it as a ``tier_degraded`` trace event plus a
-  ``DEGRADED`` report line.
+  killed campaign resumes with :meth:`Campaign.resume` (or
+  ``repro resume``) byte-identically;
+* in-process runs guard each cell with a SIGALRM timer instead of the
+  driver's budget check;
+* on-disk tiers that hit ENOSPC / EACCES *degrade* instead of failing
+  the run (``tier_degraded`` trace event, ``DEGRADED`` report line).
 """
 
 from __future__ import annotations
@@ -65,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import signal
@@ -76,13 +69,13 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
-from concurrent.futures import TimeoutError as FuturesTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 from .. import perf
 from ..benchmarks.base import (
@@ -114,7 +107,7 @@ class DeadlineExceeded(ReproError):
 
 
 class _CellTimeout(BaseException):
-    """Raised by the inline watchdog's SIGALRM handler.
+    """Raised by the inline SIGALRM cell guard.
 
     A ``BaseException`` on purpose: it must sail through the engine's
     per-cell crash capture (``except Exception``) so a budget overrun is
@@ -124,7 +117,7 @@ class _CellTimeout(BaseException):
 
 @dataclass(frozen=True)
 class Clock:
-    """Injectable time source for retries, budgets and the watchdog.
+    """Injectable time source for retries and budgets.
 
     The engine only ever reads time through one of these, so
     fault-tolerance tests substitute a fake (whose ``sleep`` advances
@@ -136,104 +129,14 @@ class Clock:
     sleep: Callable[[float], None] = time.sleep
 
 
-def _kill_pool_processes(pool: ProcessPoolExecutor | None) -> None:
-    """Forcibly kill a pool's worker processes (stuck workers ignore
-    ``shutdown``; only SIGKILL unblocks their futures)."""
-    if pool is None:
-        return
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.kill()
-        except Exception:  # noqa: BLE001 — already-dead workers etc.
-            pass
-
-
-class _Watchdog:
-    """Monitor thread enforcing wall-clock budgets on pool execution.
-
-    The dispatcher registers every in-flight future with the budget of
-    its chunk (``cell_timeout_s`` × tasks); the thread polls the
-    campaign :class:`Clock` and, when a watch expires or the campaign
-    deadline passes, kills the active pool's workers — which breaks the
-    blocked ``wait()`` in the dispatcher and routes the expired chunk
-    into the timeout ladder.  All state is lock-guarded; the thread is
-    a daemon and is joined by :meth:`stop`.
-    """
-
-    POLL_S = 0.05
-
-    def __init__(
-        self,
-        clock: Clock,
-        deadline_at: float | None,
-        kill: Callable[[], None],
-    ) -> None:
-        self._clock = clock
-        self._deadline_at = deadline_at
-        self._kill = kill
-        self._lock = threading.Lock()
-        self._watches: dict[object, float] = {}
-        self._expired: set[object] = set()
-        self.deadline_hit = False
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-campaign-watchdog", daemon=True
-        )
-        self._thread.start()
-
-    def watch(self, future: object, budget_s: float | None) -> None:
-        if budget_s is None:
-            return
-        with self._lock:
-            self._watches[future] = self._clock.monotonic() + budget_s
-
-    def unwatch(self, future: object) -> None:
-        with self._lock:
-            self._watches.pop(future, None)
-
-    def expired(self, future: object) -> bool:
-        """Whether this future's chunk overran its budget (one-shot)."""
-        with self._lock:
-            if future in self._expired:
-                self._expired.discard(future)
-                return True
-            return False
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            now = self._clock.monotonic()
-            fire = False
-            with self._lock:
-                if (
-                    self._deadline_at is not None
-                    and now >= self._deadline_at
-                    and not self.deadline_hit
-                ):
-                    self.deadline_hit = True
-                    fire = True
-                overran = [f for f, at in self._watches.items() if now >= at]
-                for future in overran:
-                    self._expired.add(future)
-                    del self._watches[future]
-                if overran:
-                    fire = True
-            if fire:
-                self._kill()
-            self._clock.sleep(self.POLL_S)
-
-
 @dataclass(frozen=True)
 class RunTask:
     """One independent unit of campaign work: a single grid cell.
 
-    Tasks are plain frozen dataclasses of primitives (plus the
-    picklable frozen platform), so they cross process boundaries and
-    hash into cache keys without ceremony.
+    Tasks are plain frozen dataclasses of primitives (plus the frozen
+    platform), so they cross process boundaries — and, through the
+    closed-type codec of :mod:`repro.experiments.protocol`, the wire —
+    and hash into cache keys without ceremony.
     """
 
     benchmark: str
@@ -340,14 +243,14 @@ def _crash_result(task: RunTask, exc: BaseException) -> RunResult:
     )
 
 
-def _worker_loss_result(task: RunTask, exc: BaseException, attempts: int) -> RunResult:
+def _worker_loss_result(task: RunTask, exc: "ChunkLost", attempts: int) -> RunResult:
     """Demote a cell that keeps killing pool workers to a crashed run."""
     return RunResult.crash(
         task.benchmark,
         task.version,
         task.precision,
         reason="crash: worker process died executing this cell",
-        traceback_text=f"{type(exc).__name__}: {exc} (after {attempts} attempts)",
+        traceback_text=f"{exc} (after {attempts} attempts)",
         governor=task.result_governor,
     )
 
@@ -455,6 +358,195 @@ def _execute_family(
         out.append(tuple(runs))
     family_delta = perf.counters_delta(family_before, perf.counters())
     return tuple(out), family_delta, prepriced
+
+
+class ChunkLost(ReproError):
+    """An executor could not deliver a chunk's rows.
+
+    The one failure of the :class:`Executor` contract: a pool worker
+    died, a remote connection dropped, or — ``timed_out`` — the driver
+    aborted the chunk for overrunning its budget.
+    """
+
+    def __init__(self, reason: str, timed_out: bool = False) -> None:
+        super().__init__(reason)
+        self.reason = reason
+        self.timed_out = timed_out
+
+
+class Executor(Protocol):
+    """What the campaign driver needs from an execution tier.
+
+    Implemented by :class:`LocalPool` and
+    :class:`~repro.experiments.remote.RemoteWorkerPool`.  A future
+    resolves to :func:`_execute_family`'s ``(group_runs, family_delta,
+    prepriced)`` or fails with :class:`ChunkLost`; a terminal error
+    (e.g. ``KeyboardInterrupt`` in a worker) passes through unchanged.
+    Every method is called from the driver's thread only.
+    """
+
+    def submit(self, groups: tuple[tuple[RunTask, ...], ...]) -> Future:
+        """Queue one chunk of task groups."""
+
+    def probe(self, task: RunTask) -> Future:
+        """Run one suspect task alone on an isolated lane."""
+
+    def abort(self, future: Future) -> None:
+        """Stop an overrunning chunk: its future fails with
+        ``ChunkLost(timed_out=True)`` (unless it already finished)."""
+
+    def exhausted(self) -> bool:
+        """Whether this executor can run nothing more."""
+
+    def poll(self) -> list[tuple[str, dict]]:
+        """Housekeeping tick; returns the trace events queued since the
+        last poll as ``(event, fields)`` pairs."""
+
+    def close(self) -> None:
+        """Release every worker, killing those still busy."""
+
+
+#: seconds the driver waits for a chunk before re-checking budgets,
+#: the deadline and executor events
+_POLL_S = 0.05
+
+
+@dataclass
+class _Flight:
+    """One chunk in flight: its entries, the lane running it, whether it
+    is a probe, and when its budget runs out (once seen running)."""
+
+    chunk: tuple
+    lane: Executor
+    probe: bool = False
+    due: float | None = None
+
+
+def _kill(pool: ProcessPoolExecutor) -> None:
+    """SIGKILL a pool's workers (stuck workers ignore ``shutdown``; only
+    a kill unblocks their futures)."""
+    for process in list((getattr(pool, "_processes", None) or {}).values()):
+        try:
+            process.kill()
+        except Exception:  # noqa: BLE001 — already-dead workers etc.
+            pass
+
+
+class LocalPool:
+    """The local :class:`Executor`: a ``ProcessPoolExecutor`` of
+    ``workers`` processes running :func:`_execute_family`.
+
+    A worker death breaks the pool and fails every chunk in it with
+    :class:`ChunkLost`; the next :meth:`poll` rebuilds the pool once
+    and queues a ``pool_restarted`` event.  Each probe gets its own
+    one-worker pool, and :meth:`abort` kills the processes of whichever
+    pool runs the future.
+    """
+
+    def __init__(self, workers: int, perf_dir: str | None = None, preprice: bool = True) -> None:
+        self.workers = workers
+        self.perf_dir = perf_dir
+        self.preprice = preprice
+        self.restarts = 0
+        self._lock = threading.Lock()
+        self._broken: BaseException | None = None
+        self._events: list[tuple[str, dict]] = []
+        self._lanes: dict[Future, ProcessPoolExecutor] = {}
+        self._timed_out: set[Future] = set()
+        self._probes: list[ProcessPoolExecutor] = []
+        self._pool = self._new_pool(workers)
+
+    def _new_pool(self, workers: int) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=workers, initializer=_worker_init, initargs=(self.perf_dir,)
+        )
+
+    def submit(self, groups: tuple[tuple[RunTask, ...], ...]) -> Future:
+        try:
+            inner = self._pool.submit(_execute_family, groups, self.preprice)
+        except BrokenExecutor as exc:  # died between batches
+            with self._lock:
+                self._broken = exc
+            self._heal()
+            inner = self._pool.submit(_execute_family, groups, self.preprice)
+        return self._relay(inner, self._pool)
+
+    def probe(self, task: RunTask) -> Future:
+        lane = self._new_pool(1)
+        self._probes.append(lane)
+        return self._relay(lane.submit(_execute_family, ((task,),), self.preprice), lane)
+
+    def abort(self, future: Future) -> None:
+        with self._lock:
+            lane = self._lanes.get(future)
+        if lane is not None:
+            self._timed_out.add(future)
+            _kill(lane)
+
+    def exhausted(self) -> bool:
+        return False
+
+    def poll(self) -> list[tuple[str, dict]]:
+        self._heal()
+        busy = self._busy()
+        for lane in [p for p in self._probes if p not in busy]:
+            self._probes.remove(lane)
+            lane.shutdown(wait=True)
+        events, self._events = self._events, []
+        return events
+
+    def close(self) -> None:
+        busy = self._busy()
+        for pool in (self._pool, *self._probes):
+            if pool in busy:
+                _kill(pool)
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _busy(self) -> set[ProcessPoolExecutor]:
+        """The pools with a chunk still in flight (callbacks mutate
+        ``_lanes`` from the pools' own threads)."""
+        with self._lock:
+            return set(self._lanes.values())
+
+    def _heal(self) -> None:
+        """Rebuild the shared pool once after a worker death broke it."""
+        with self._lock:
+            broken, self._broken = self._broken, None
+            if broken is None:
+                return
+            old, self._pool = self._pool, self._new_pool(self.workers)
+        old.shutdown(wait=False, cancel_futures=True)
+        self.restarts += 1
+        self._events.append((
+            "pool_restarted",
+            {"detail": {"error": f"{type(broken).__name__}: {broken}", "restarts": self.restarts}},
+        ))
+
+    def _relay(self, inner: Future, lane: ProcessPoolExecutor) -> Future:
+        """The contract's future for ``inner``: pool errors → ChunkLost."""
+        outer: Future = Future()
+        outer.set_running_or_notify_cancel()  # the budget starts at submit
+        with self._lock:
+            self._lanes[outer] = lane
+
+        def _done(inner: Future) -> None:
+            with self._lock:
+                self._lanes.pop(outer, None)
+            exc = ChunkLost("cancelled at shutdown") if inner.cancelled() else inner.exception()
+            if exc is None:
+                outer.set_result(inner.result())
+            elif not isinstance(exc, Exception):
+                outer.set_exception(exc)  # terminal: salvage, not recovery
+            else:
+                if isinstance(exc, BrokenExecutor):
+                    with self._lock:
+                        if lane is self._pool:
+                            self._broken = exc
+                reason = f"{type(exc).__name__}: {exc}"
+                outer.set_exception(ChunkLost(reason, timed_out=outer in self._timed_out))
+
+        inner.add_done_callback(_done)
+        return outer
 
 
 @dataclass(frozen=True)
@@ -615,7 +707,7 @@ class CampaignReport:
     pool_restarts: int = 0
     #: terminal error text when the campaign did not finish, else ``None``
     error: str | None = None
-    #: cells the watchdog demoted to ``failure_kind="timeout"`` results
+    #: cells demoted to ``failure_kind="timeout"`` results
     #: (a subset of ``failed_runs``)
     timeout_runs: tuple[tuple[str, Version, Precision], ...] = ()
     #: cells replayed from the journal instead of executed (resume)
@@ -698,9 +790,9 @@ class Campaign:
     ``"<bench> [<SP|DP>] <Version>"`` before each non-cached run is
     dispatched.
 
-    ``retries`` bounds how often a cell whose pool worker died is
-    re-executed before it is demoted to a ``failure_kind="crash"``
-    result; ``retry_backoff_s`` > 0 sleeps ``backoff * 2**(attempt-1)``
+    ``retries`` bounds how often a cell whose worker died is
+    re-executed before its probe decides whether it is demoted to a
+    ``failure_kind="crash"`` result; ``retry_backoff_s`` > 0 sleeps ``backoff * 2**(attempt-1)``
     seconds before each such retry (exponential backoff — useful when
     worker deaths stem from transient memory pressure).
     ``retry_backoff_cap_s`` clamps the exponential growth and
@@ -720,11 +812,11 @@ class Campaign:
     gracefully to local execution (``tier_degraded`` event + warning)
     instead of failing.  Results are byte-identical to local runs.
 
-    ``cell_timeout_s`` budgets each cell's wall clock: a pool chunk
-    gets ``cell_timeout_s × tasks`` before the watchdog kills its
-    worker and the retry ladder narrows the hang down to the stuck
-    cell, which is demoted to a ``failure_kind="timeout"`` result; the
-    in-process path arms a per-cell SIGALRM timer instead.
+    ``cell_timeout_s`` budgets each cell's wall clock: a chunk gets
+    ``cell_timeout_s × tasks`` before the driver aborts it and the
+    ladder narrows the hang down to the stuck cell, which is demoted to
+    a ``failure_kind="timeout"`` result; the in-process path arms a
+    per-cell SIGALRM timer instead.
     ``deadline_s`` budgets the whole campaign — overrunning it raises
     :class:`DeadlineExceeded` through the salvage path, so a journaled
     campaign can be resumed under a fresh budget.  ``clock`` injects
@@ -801,7 +893,6 @@ class Campaign:
         self._journal: CampaignJournal | None = None
         self._replay: dict[tuple, RunResult] = {}
         self._deadline_at: float | None = None
-        self._active_pool: ProcessPoolExecutor | None = None
         self._worker_deltas: list[dict] = []
         self._hits = 0
         self._replayed = 0
@@ -859,7 +950,7 @@ class Campaign:
         :meth:`resume` continues after the orchestrating process died).
 
         A terminal error (anything the recovery machinery does not
-        absorb — e.g. ``KeyboardInterrupt``, or the watchdog's
+        absorb — e.g. ``KeyboardInterrupt``, or
         :class:`DeadlineExceeded`) still leaves the campaign accounted
         for: the completed cells are salvaged into :attr:`salvage`,
         :attr:`report` is set fresh with the error text, a
@@ -1138,19 +1229,45 @@ class Campaign:
         families = self._plan_families(pending)
 
         if self.workers and pending:
-            self._run_remote(families, tracer, results)
-            # Whatever the remote tier could not finish (it degraded
-            # because every worker was lost or rejected) falls through
+            remote = self._remote_executor()
+            # decided before any work: a tier that never joined is told
+            # apart from one lost mid-run
+            reason = (
+                "no remote workers joined" if remote.exhausted()
+                else "every remote worker was lost"
+            )
+            self._drive(remote, families, tracer, results)
+            # Whatever the remote tier could not finish falls through
             # to ordinary local execution, in canonical plan order.
             pending = [(t, k) for t, k in pending if t.cell not in results]
             if not pending:
                 return
+            self._remote_degraded(tracer, reason)
             families = self._plan_families(pending)
 
         if jobs == 1 or len(families) <= 1:
             self._run_inline(families, tracer, results)
         else:
-            self._run_pool(families, jobs, tracer, results)
+            workers = min(jobs, len(families))
+            self._drive(self._local_executor(workers), families, tracer, results)
+
+    def _local_executor(self, workers: int) -> LocalPool:
+        perf_dir = str(self.perf_dir) if self.perf_dir is not None else None
+        return LocalPool(workers, perf_dir=perf_dir, preprice=self.preprice)
+
+    def _remote_executor(self) -> Executor:
+        from .remote import RemoteWorkerPool
+
+        pool = RemoteWorkerPool(
+            self.workers,
+            task_fields=self._task_fields,
+            clock=self.clock,
+            preprice=self.preprice,
+            reconnect_attempts=self.retries,
+            backoff=self._backoff_delay,
+        )
+        pool.connect()
+        return pool
 
     @staticmethod
     def _plan_families(
@@ -1253,128 +1370,29 @@ class Campaign:
                     max(prev_delay - (time.monotonic() - start), 0.001),
                 )
 
-    # A pool *chunk* is a tuple of groups, each group a tuple of
-    # (task, cache key) pairs.  Chunks start as whole families; the
-    # retry ladder splits a failed chunk into its groups, a failed
-    # group into single tasks, so the faulty cell is isolated while its
-    # innocent neighbours are simply re-executed.
-    def _run_pool(
+    # A *chunk* is a tuple of version groups, each a tuple of (task,
+    # cache key) pairs.  Chunks start as whole families; the ladder
+    # splits a lost chunk into its groups, a lost group into single
+    # tasks, so the faulty cell is isolated while its innocent
+    # neighbours are simply re-executed.
+    def _drive(
         self,
-        families: dict[str, list[list[tuple[RunTask, str | None]]]],
-        jobs: int,
-        tracer: Tracer,
-        results: dict[tuple, RunResult],
-    ) -> None:
-        max_workers = min(jobs, len(families))
-        queue: deque = deque()
-        for family in families.values():
-            for group in family:
-                for task, _ in group:
-                    self._dispatch(task, tracer)
-            queue.append(tuple(tuple(group) for group in family))
-        failures: dict[tuple, int] = {}
-        pool = self._new_pool(max_workers)
-        self._active_pool = pool
-        # The watchdog kills *whatever pool is currently active* — after
-        # a restart the hung chunk is resubmitted to the new pool, so
-        # the indirection through the attribute is load-bearing.
-        watchdog: _Watchdog | None = None
-        if self.cell_timeout_s is not None or self._deadline_at is not None:
-            watchdog = _Watchdog(
-                self.clock,
-                self._deadline_at,
-                lambda: _kill_pool_processes(self._active_pool),
-            )
-        futures: dict = {}
-        try:
-            while queue or futures:
-                while queue:
-                    chunk = queue.popleft()
-                    payload = tuple(tuple(t for t, _ in group) for group in chunk)
-                    try:
-                        future = pool.submit(_execute_family, payload, self.preprice)
-                    except BrokenExecutor as exc:  # died between batches
-                        pool = self._restart_pool(pool, max_workers, tracer, exc)
-                        future = pool.submit(_execute_family, payload, self.preprice)
-                    futures[future] = chunk
-                    if watchdog is not None and self.cell_timeout_s is not None:
-                        # a chunk's budget scales with its task count —
-                        # only once the ladder narrows to a single task
-                        # does overrunning it convict the cell
-                        n_tasks = sum(len(group) for group in chunk)
-                        watchdog.watch(future, self.cell_timeout_s * n_tasks)
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                broken: BaseException | None = None
-                for future in done:
-                    if watchdog is not None:
-                        watchdog.unwatch(future)
-                    exc = self._resolve(
-                        future,
-                        futures.pop(future),
-                        failures,
-                        queue,
-                        tracer,
-                        results,
-                        timed_out=watchdog.expired(future) if watchdog else False,
-                    )
-                    if isinstance(exc, BrokenExecutor):
-                        broken = exc
-                if watchdog is not None and watchdog.deadline_hit:
-                    raise DeadlineExceeded(
-                        f"campaign exceeded its {self.deadline_s:g}s deadline"
-                    )
-                if broken is not None:
-                    # The executor is dead and every outstanding future
-                    # resolves (exceptionally) right away: fold them all
-                    # into the retry queue, then rebuild the pool once.
-                    for future in list(futures):
-                        if watchdog is not None:
-                            watchdog.unwatch(future)
-                        self._resolve(
-                            future,
-                            futures.pop(future),
-                            failures,
-                            queue,
-                            tracer,
-                            results,
-                            timed_out=watchdog.expired(future) if watchdog else False,
-                        )
-                    pool = self._restart_pool(pool, max_workers, tracer, broken)
-        finally:
-            if watchdog is not None:
-                watchdog.stop()
-                # stuck workers ignore shutdown(); make the join finite
-                _kill_pool_processes(pool)
-            self._active_pool = None
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def _run_remote(
-        self,
+        executor: Executor,
         families: dict[str, list[list[tuple[RunTask, str | None]]]],
         tracer: Tracer,
         results: dict[tuple, RunResult],
     ) -> None:
-        """Distribute family chunks onto the remote worker tier.
+        """The driver loop: run ``families`` on ``executor`` to the end.
 
-        Mirrors :meth:`_run_pool`: chunks start as whole families and a
-        failed chunk is fed to the remote retry ladder
-        (:meth:`_requeue_remote`) at progressively finer granularity.  A
-        chunk whose budget expired on the wire goes through the same
-        timeout ladder as a watchdog kill.  The method returns normally
-        with work left undone only when the whole remote tier is gone —
-        the caller falls back to local execution for the remainder
-        (graceful degradation, traced as ``tier_degraded``).
+        Each turn checks the campaign deadline, polls every lane for
+        housekeeping and trace events, submits queued chunks, waits up
+        to :data:`_POLL_S` for one to finish, aborts chunks over their
+        budget, and harvests the finished — a lost chunk feeds
+        :meth:`_ladder`, which may start a probe.  Probes wait in this
+        same loop, so the deadline bounds them too.  Returns with work
+        undone only when the executor is exhausted (every remote worker
+        gone); the caller runs the rest locally.
         """
-        from .remote import PoolExhausted, RemoteWorkerPool, WorkerLost
-
-        pool = RemoteWorkerPool(
-            self.workers,
-            task_fields=self._task_fields,
-            clock=self.clock,
-            cell_timeout_s=self.cell_timeout_s,
-            reconnect_attempts=self.retries,
-            backoff=self._backoff_delay,
-        )
         queue: deque = deque()
         for family in families.values():
             for group in family:
@@ -1382,140 +1400,147 @@ class Campaign:
                     self._dispatch(task, tracer)
             queue.append(tuple(tuple(group) for group in family))
         failures: dict[tuple, int] = {}
-        futures: dict = {}
+        flights: dict[Future, _Flight] = {}
+        lanes = [executor]  # plus a local probe lane once remote is gone
         try:
-            joined = pool.connect()
-            pool.drain_events(tracer)
-            if joined == 0 and pool.exhausted():
-                self._remote_degraded(tracer, "no remote workers joined")
-                return
-            while queue or futures:
+            while queue or flights:
                 self._check_deadline()
-                if pool.exhausted() and not futures:
-                    break  # leftovers degrade to local execution
-                while queue and not pool.exhausted():
+                for lane in lanes:
+                    self._poll(lane, tracer)
+                if executor.exhausted() and not flights:
+                    return
+                while queue and not executor.exhausted():
                     chunk = queue.popleft()
                     payload = tuple(tuple(t for t, _ in group) for group in chunk)
-                    futures[pool.submit(payload, self.preprice)] = chunk
-                # Finite wait: worker events must drain into the trace
-                # and the campaign deadline stays live even when every
-                # in-flight chunk is slow.
-                done, _ = wait(futures, timeout=0.2, return_when=FIRST_COMPLETED)
-                pool.drain_events(tracer)
+                    flights[executor.submit(payload)] = _Flight(chunk, executor)
+                done, _ = wait(flights, timeout=_POLL_S, return_when=FIRST_COMPLETED)
+                self._enforce_budgets(flights)
                 for future in done:
-                    chunk = futures.pop(future)
+                    flight = flights.pop(future)
                     try:
-                        group_runs, family_delta, prepriced = future.result()
-                    except PoolExhausted:
-                        # Not the chunk's fault — it never ran.  Requeue
-                        # un-counted; the loop head notices exhaustion.
-                        queue.append(chunk)
-                    except WorkerLost as exc:
-                        if exc.timed_out:
-                            self._handle_timeout(chunk, queue, tracer, results)
-                        else:
-                            self._requeue_remote(
-                                chunk, exc, failures, queue, pool, tracer, results
-                            )
-                    else:
-                        self._worker_deltas.append(family_delta)
-                        self._prepriced += prepriced
-                        for group, runs in zip(chunk, group_runs):
-                            for (task, key), (run, delta) in zip(group, runs):
-                                self._finish(
-                                    task, key, run, results, tracer, perf_delta=delta
-                                )
-            if queue:
-                self._remote_degraded(tracer, "every remote worker was lost")
+                        value = future.result()
+                    except ChunkLost as lost:
+                        suspect = self._ladder(flight, lost, failures, queue, tracer, results)
+                        if suspect is not None:
+                            lane = executor
+                            if executor.exhausted():
+                                if len(lanes) == 1:
+                                    lanes.append(self._local_executor(1))
+                                lane = lanes[1]
+                            probe = lane.probe(suspect[0])
+                            flights[probe] = _Flight(((suspect,),), lane, probe=True)
+                        continue
+                    self._harvest(flight.chunk, value, tracer, results)
         finally:
-            pool.close()
-            pool.drain_events(tracer)
+            for lane in lanes:
+                lane.close()
+                self._poll(lane, tracer)
 
-    def _requeue_remote(
+    def _poll(self, lane: Executor, tracer: Tracer) -> None:
+        for name, fields in lane.poll():
+            if name == "pool_restarted":
+                self._pool_restarts += 1
+            tracer.emit(name, **fields)
+
+    def _enforce_budgets(self, flights: dict[Future, "_Flight"]) -> None:
+        """The chunk budget: ``cell_timeout_s`` × tasks on the campaign
+        clock, from the first poll that sees the chunk running."""
+        if self.cell_timeout_s is None:
+            return
+        now = self.clock.monotonic()
+        for future, flight in flights.items():
+            if future.done():
+                continue
+            if flight.due is None:
+                if future.running():
+                    n_tasks = sum(len(group) for group in flight.chunk)
+                    flight.due = now + self.cell_timeout_s * n_tasks
+            elif now >= flight.due:
+                flight.due = math.inf  # aborted once; the lane fails it
+                flight.lane.abort(future)
+
+    def _harvest(self, chunk, value: tuple, tracer: Tracer, results: dict) -> None:
+        group_runs, family_delta, prepriced = value
+        self._worker_deltas.append(family_delta)
+        self._prepriced += prepriced
+        for group, runs in zip(chunk, group_runs):
+            for (task, key), (run, delta) in zip(group, runs):
+                self._finish(task, key, run, results, tracer, perf_delta=delta)
+
+    def _ladder(
         self,
-        chunk,
-        exc: BaseException,
+        flight: "_Flight",
+        lost: ChunkLost,
         failures: dict[tuple, int],
         queue: deque,
-        pool,
         tracer: Tracer,
         results: dict[tuple, RunResult],
-    ) -> None:
-        """Remote retry ladder: the exact shape of :meth:`_requeue`.
+    ) -> tuple[RunTask, str | None] | None:
+        """The recovery ladder for one lost chunk; returns the
+        ``(task, key)`` to probe, if it comes to that.
 
-        A lost connection fails one chunk, not the whole tier, so most
-        failures here are collateral of a dying worker rather than a
-        poisonous cell — which is why conviction still requires an
-        isolated probe (:meth:`_probe_remote`), now on whichever worker
-        is currently alive, before a cell is demoted.
+        A worker death fails *every* chunk in flight, so a lost chunk
+        may be an innocent bystander — which is why demotion is never
+        decided from these failures alone.  Family → version groups →
+        single tasks; a single task is retried after a jittered backoff
+        until it exhausts ``retries``, then gets one isolated probe:
+        surviving it proves collateral damage, losing it convicts the
+        cell as a crash.  A timed-out chunk splits the same way (without
+        counting failures), and a single task that overran its own
+        budget is convicted as a timeout outright — re-running a hang
+        would just hang again.  A chunk lost because the executor is
+        exhausted is not at fault: it is requeued uncounted (a probe
+        re-runs on the local lane).
         """
-        self._retries += 1
-        for group in chunk:
-            for task, _ in group:
-                failures[task.cell] = failures.get(task.cell, 0) + 1
-        if len(chunk) > 1:  # family → its version groups
+        chunk = flight.chunk
+        if flight.lane.exhausted():
+            if flight.probe:
+                return chunk[0][0]
+            queue.append(chunk)
+            return None
+        if flight.probe:  # the verdict
+            task, key = chunk[0][0]
+            if lost.timed_out:
+                run = self._timeout_result(task)
+            else:
+                failures[task.cell] += 1
+                run = _worker_loss_result(task, lost, failures[task.cell])
+            self._finish(task, key, run, results, tracer)
+            return None
+        split = len(chunk) > 1 or len(chunk[0]) > 1
+        if split or not lost.timed_out:
+            self._retries += 1
+        if not lost.timed_out:
             for group in chunk:
-                queue.append((group,))
-            return
-        group = chunk[0]
-        if len(group) > 1:  # version group → single tasks
-            for entry in group:
-                queue.append(((entry,),))
-            return
-        task, key = group[0]
+                for task, _ in group:
+                    failures[task.cell] = failures.get(task.cell, 0) + 1
+        if len(chunk) > 1:  # family → its version groups
+            queue.extend((group,) for group in chunk)
+            return None
+        if len(chunk[0]) > 1:  # version group → single tasks
+            queue.extend(((entry,),) for entry in chunk[0])
+            return None
+        task, key = chunk[0][0]
+        if lost.timed_out:
+            self._finish(task, key, self._timeout_result(task), results, tracer)
+            return None
         attempts = failures[task.cell]
         if attempts <= self.retries:
             delay = self._backoff_delay(attempts)
             if delay > 0:
                 self.clock.sleep(delay)
             queue.append(chunk)
-            return
-        self._probe_remote(task, key, failures, pool, tracer, results)
+            return None
+        return task, key
 
-    def _probe_remote(
-        self,
-        task: RunTask,
-        key: str | None,
-        failures: dict[tuple, int],
-        pool,
-        tracer: Tracer,
-        results: dict[tuple, RunResult],
-    ) -> None:
-        """Verdict for a suspect cell: one isolated run on a live worker.
-
-        The pool schedules onto currently-connected workers only (dead
-        links hold no queue slots), so surviving the probe proves the
-        cell was collateral damage; dying again on a different, known
-        -good connection convicts it.  If no remote worker is left to
-        probe on, the verdict falls back to the local probe pool —
-        degradation must not skip the conviction protocol.
-        """
-        from .remote import PoolExhausted, WorkerLost
-
-        future = pool.submit(((task,),), self.preprice)
-        try:
-            group_runs, family_delta, prepriced = future.result()
-        except PoolExhausted:
-            self._probe(task, key, failures, tracer, results)
-            return
-        except WorkerLost as exc:
-            if exc.timed_out:
-                run = RunResult.timeout(
-                    task.benchmark,
-                    task.version,
-                    task.precision,
-                    self.cell_timeout_s,
-                    governor=task.result_governor,
-                )
-            else:
-                failures[task.cell] += 1
-                run = _worker_loss_result(task, exc, failures[task.cell])
-            self._finish(task, key, run, results, tracer)
-            return
-        self._worker_deltas.append(family_delta)
-        self._prepriced += prepriced
-        ((run, delta),) = group_runs[0]
-        self._finish(task, key, run, results, tracer, perf_delta=delta)
+    def _timeout_result(self, task: RunTask) -> RunResult:
+        return RunResult.timeout(
+            task.benchmark,
+            task.version,
+            task.precision,
+            self.cell_timeout_s,
+            governor=task.result_governor,
+        )
 
     def _remote_degraded(self, tracer: Tracer, reason: str) -> None:
         """Record the loss of the whole remote tier (warn-once).
@@ -1538,113 +1563,6 @@ class Campaign:
             stacklevel=2,
         )
 
-    def _resolve(
-        self,
-        future,
-        chunk,
-        failures: dict[tuple, int],
-        queue: deque,
-        tracer: Tracer,
-        results: dict[tuple, RunResult],
-        timed_out: bool = False,
-    ) -> BaseException | None:
-        """Harvest one finished future, or feed its chunk to the retry
-        ladder (timeout ladder when the watchdog expired it); returns
-        the failure exception, if any.  An expired future that actually
-        completed keeps its real result — the kill raced a finish."""
-        try:
-            group_runs, family_delta, prepriced = future.result()
-        except Exception as exc:  # noqa: BLE001 — worker-death recovery
-            if timed_out:
-                self._handle_timeout(chunk, queue, tracer, results)
-            else:
-                self._requeue(chunk, exc, failures, queue, tracer, results)
-            return exc
-        self._worker_deltas.append(family_delta)
-        self._prepriced += prepriced
-        for group, runs in zip(chunk, group_runs):
-            for (task, key), (run, delta) in zip(group, runs):
-                self._finish(task, key, run, results, tracer, perf_delta=delta)
-        return None
-
-    def _handle_timeout(
-        self,
-        chunk,
-        queue: deque,
-        tracer: Tracer,
-        results: dict[tuple, RunResult],
-    ) -> None:
-        """Timeout ladder: narrow an overrun chunk to the stuck cell.
-
-        Mirrors the crash ladder's splits (family → version groups →
-        single tasks, each resubmission with a proportionally smaller
-        budget) but needs no probe: a *single* task that overran its
-        own ``cell_timeout_s`` is convicted outright and demoted to a
-        ``failure_kind="timeout"`` result — re-running a hang with the
-        same budget would just hang again.
-        """
-        if len(chunk) > 1:  # family → its version groups
-            self._retries += 1
-            for group in chunk:
-                queue.append((group,))
-            return
-        group = chunk[0]
-        if len(group) > 1:  # version group → single tasks
-            self._retries += 1
-            for entry in group:
-                queue.append(((entry,),))
-            return
-        task, key = group[0]
-        run = RunResult.timeout(
-            task.benchmark,
-            task.version,
-            task.precision,
-            self.cell_timeout_s,
-            governor=task.result_governor,
-        )
-        self._finish(task, key, run, results, tracer)
-
-    def _requeue(
-        self,
-        chunk,
-        exc: BaseException,
-        failures: dict[tuple, int],
-        queue: deque,
-        tracer: Tracer,
-        results: dict[tuple, RunResult],
-    ) -> None:
-        """Retry ladder: split a failed chunk finer, or judge the cell.
-
-        A pool break fails *every* in-flight future, so a chunk seen
-        here may be an innocent bystander of another chunk's worker
-        kill — which is why demotion is never decided from these
-        failures alone: once a single task exhausts ``retries`` it gets
-        one isolated run on a dedicated probe pool, where the verdict
-        is unambiguous.
-        """
-        self._retries += 1
-        for group in chunk:
-            for task, _ in group:
-                failures[task.cell] = failures.get(task.cell, 0) + 1
-        if len(chunk) > 1:  # family → its version groups
-            for group in chunk:
-                queue.append((group,))
-            return
-        group = chunk[0]
-        if len(group) > 1:  # version group → single tasks
-            for entry in group:
-                queue.append(((entry,),))
-            return
-        task, key = group[0]
-        attempts = failures[task.cell]
-        if attempts <= self.retries:
-            delay = self._backoff_delay(attempts)
-            if delay > 0:
-                self.clock.sleep(delay)
-            queue.append(chunk)
-            return
-        self._probe(task, key, failures, tracer, results)
-
     def _backoff_delay(self, attempt: int) -> float:
         """Seconds to back off before retry number ``attempt`` (1-based).
 
@@ -1663,78 +1581,6 @@ class Campaign:
         if self.retry_backoff_jitter > 0:
             delay *= 1.0 - self.retry_backoff_jitter * self._backoff_rng.random()
         return delay
-
-    def _probe(
-        self,
-        task: RunTask,
-        key: str | None,
-        failures: dict[tuple, int],
-        tracer: Tracer,
-        results: dict[tuple, RunResult],
-    ) -> None:
-        """Final verdict for a suspect cell: run it alone on a one-worker
-        pool.  If it kills that worker too it is certainly the culprit
-        and is demoted to a crashed result; an innocent collateral
-        victim of other cells' pool breaks simply completes here.  With
-        ``cell_timeout_s`` armed the probe itself is budgeted — a probe
-        that hangs is killed and demoted to a timeout result."""
-        probe = self._new_pool(1)
-        try:
-            future = probe.submit(_execute_family, ((task,),), self.preprice)
-            try:
-                group_runs, family_delta, prepriced = future.result(
-                    timeout=self.cell_timeout_s
-                )
-            except FuturesTimeout:
-                _kill_pool_processes(probe)
-                run = RunResult.timeout(
-                    task.benchmark,
-                    task.version,
-                    task.precision,
-                    self.cell_timeout_s,
-                    governor=task.result_governor,
-                )
-                self._finish(task, key, run, results, tracer)
-                return
-            except Exception as exc:  # noqa: BLE001 — the verdict
-                failures[task.cell] += 1
-                run = _worker_loss_result(task, exc, failures[task.cell])
-                self._finish(task, key, run, results, tracer)
-                return
-            self._worker_deltas.append(family_delta)
-            self._prepriced += prepriced
-            ((run, delta),) = group_runs[0]
-            self._finish(task, key, run, results, tracer, perf_delta=delta)
-        finally:
-            probe.shutdown(wait=True, cancel_futures=True)
-
-    def _new_pool(self, max_workers: int) -> ProcessPoolExecutor:
-        perf_dir = str(self.perf_dir) if self.perf_dir is not None else None
-        return ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_worker_init,
-            initargs=(perf_dir,),
-        )
-
-    def _restart_pool(
-        self,
-        pool: ProcessPoolExecutor,
-        max_workers: int,
-        tracer: Tracer,
-        exc: BaseException,
-    ) -> ProcessPoolExecutor:
-        pool.shutdown(wait=False, cancel_futures=True)
-        self._pool_restarts += 1
-        tracer.emit(
-            "pool_restarted",
-            detail={
-                "error": f"{type(exc).__name__}: {exc}",
-                "restarts": self._pool_restarts,
-            },
-        )
-        fresh = self._new_pool(max_workers)
-        self._active_pool = fresh
-        return fresh
 
     def _dispatch(self, task: RunTask, tracer: Tracer) -> None:
         # Once per run: a task that falls back to local execution after

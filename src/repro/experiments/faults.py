@@ -32,8 +32,8 @@ driven on purpose.  This module injects failures into exact grid cells:
   ``"ping"`` ... ``None`` matches any frame).  :func:`maybe_net` is
   consulted by the frame send path: ``net_drop`` resets the connection
   under the frame (lost-worker stand-in), ``net_stall`` sleeps
-  ``seconds`` before sending (stuck-link stand-in for the heartbeat /
-  chunk-deadline watchdogs), ``net_garble`` corrupts the payload after
+  ``seconds`` before sending (stuck-link stand-in for the heartbeat
+  watchdog and the chunk budget), ``net_garble`` corrupts the payload after
   its CRC is computed so the receiver detects and rejects the frame.
   Attempt counters live on disk like the crash modes, so "drop the
   first result frame" stays deterministic across reconnects and worker

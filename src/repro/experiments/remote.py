@@ -6,37 +6,36 @@ Two halves, one contract:
   remote worker.  It binds a TCP port, attaches its *own* persistent
   perf tier, and executes whole benchmark-family chunks through the
   same :func:`repro.experiments.engine._execute_family` entry the
-  local process pool uses — which is exactly why results flow back as
-  the same ``(run, perf-delta)`` rows and the campaign's
-  ``ResultSet.to_json()`` stays byte-identical to local execution.
-  While a chunk executes, the worker sends a heartbeat frame every
-  :data:`HEARTBEAT_INTERVAL_S` so the coordinator can tell "slow" from
-  "dead".
+  local process pool uses.  Tasks arrive and rows leave through the
+  closed-type JSON codec of :mod:`repro.experiments.protocol` — rows
+  are the ``run_to_row`` rows the journal persists, which is why the
+  campaign's ``ResultSet.to_json()`` stays byte-identical to local
+  execution.  While a chunk executes, the worker sends a heartbeat
+  frame every :data:`HEARTBEAT_INTERVAL_S`.
 
-* :class:`RemoteWorkerPool` — the coordinator side the
-  :class:`~repro.experiments.engine.Campaign` engine schedules chunks
-  onto.  One dispatcher thread per worker pulls jobs from a shared
-  queue (preferring chunks of benchmark families the worker has
-  already priced — the remote mirror of the local pool's
-  cache-affinity placement), frames them over the wire, and enforces
-  two watchdogs per in-flight chunk: a **heartbeat timeout** (silence
-  means the link or the worker died) and the **chunk deadline**
-  (``cell_timeout_s × tasks``, the same budget the local watchdog
-  arms).  A failed chunk resolves its future with :class:`WorkerLost`
-  and the engine feeds it to the PR-4 recovery ladder: redistribute
-  (family → group → single task), retry with jittered exponential
-  backoff, probe a suspect cell on a known-good worker, convict only
-  on an unambiguous verdict.  A lost connection is retried with the
-  campaign's backoff policy; a worker whose reconnects are exhausted
-  retires, and when the *last* worker retires every queued job fails
-  with :class:`PoolExhausted` so the engine can degrade gracefully to
-  local execution instead of failing the campaign.
+  The handshake checks versions, not identity: a worker runs any grid
+  cell a connected peer sends it, so bind it to a public interface
+  only on a trusted network.
 
-Every state transition is surfaced through the campaign's JSONL trace
-vocabulary: ``worker_joined`` / ``worker_rejected`` (handshake),
-``run_dispatched`` (a cell shipped to a named worker),
-``worker_lost`` (a connection died), and the familiar
-``tier_degraded`` when the whole remote tier is gone.
+* :class:`RemoteWorkerPool` — the remote implementation of the
+  engine's :class:`~repro.experiments.engine.Executor` contract.  One
+  dispatcher thread per worker pulls chunks from a shared queue
+  (preferring families the worker has already priced — the remote
+  mirror of the local pool's cache-affinity placement) and fails a
+  chunk's future with :class:`~repro.experiments.engine.ChunkLost`
+  when its connection dies or goes silent for
+  :data:`HEARTBEAT_TIMEOUT_S`.  Budgets are the engine's: its driver
+  calls :meth:`RemoteWorkerPool.abort`, which drops that chunk's
+  connection.  A lost connection is retried with the campaign's
+  backoff policy; a worker whose reconnects are exhausted retires, and
+  when the *last* one retires every queued chunk fails and
+  :meth:`~RemoteWorkerPool.exhausted` turns true, so the engine runs
+  the rest locally.
+
+Every state transition is queued as a campaign trace event for the
+engine to drain: ``worker_joined`` / ``worker_rejected`` (handshake),
+``run_dispatched`` (a cell shipped to a named worker) and
+``worker_lost`` (a connection died).
 """
 
 from __future__ import annotations
@@ -52,10 +51,14 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ..errors import ReproError
+from .engine import ChunkLost, Clock, _execute_family
 from .protocol import (
-    ConnectionClosed,
     Handshake,
     ProtocolError,
+    decode_chunk,
+    decode_family,
+    encode_chunk,
+    encode_family,
     recv_message,
     send_message,
 )
@@ -66,26 +69,6 @@ HEARTBEAT_INTERVAL_S = 0.5
 HEARTBEAT_TIMEOUT_S = 10.0
 #: TCP connect + handshake budget per attempt
 CONNECT_TIMEOUT_S = 10.0
-
-
-class WorkerLost(ReproError):
-    """A chunk's worker connection died (or overran its budget).
-
-    ``timed_out`` distinguishes a chunk-deadline overrun — routed into
-    the engine's *timeout* ladder, where a convicted single task
-    becomes a ``failure_kind="timeout"`` result — from a plain
-    connection loss, which goes through the crash-recovery ladder.
-    """
-
-    def __init__(self, addr: str, reason: str, timed_out: bool = False) -> None:
-        super().__init__(f"worker {addr}: {reason}")
-        self.addr = addr
-        self.reason = reason
-        self.timed_out = timed_out
-
-
-class PoolExhausted(ReproError):
-    """Every remote worker is gone; queued chunks must run locally."""
 
 
 class HandshakeRejected(ReproError):
@@ -196,19 +179,18 @@ class WorkerServer:
     def _run_chunk(self, conn: socket.socket, message: dict) -> None:
         """Execute one family chunk, heartbeating while it runs.
 
-        The execution itself is :func:`engine._execute_family` — the
-        exact pool entry local workers run, so rows coming off the wire
-        are byte-for-byte what a local campaign would have produced.
-        The heartbeat loop runs in *this* thread so a chunk that takes
-        seconds never leaves the coordinator guessing.
+        The tasks are decoded before anything runs (a value outside the
+        codec's closed types drops the connection), then executed by
+        :func:`engine._execute_family` — the exact entry local pool
+        workers run.  The heartbeat loop runs in *this* thread so a
+        chunk that takes seconds never leaves the coordinator guessing.
         """
-        from .engine import _execute_family
-
+        groups = decode_chunk(message.get("groups"))
         box: dict = {}
 
         def _work() -> None:
             try:
-                box["value"] = _execute_family(message["groups"], message["preprice"])
+                box["value"] = _execute_family(groups, bool(message.get("preprice", True)))
             except BaseException as exc:  # noqa: BLE001 — shipped, not raised
                 box["error"] = f"{type(exc).__name__}: {exc}"
 
@@ -220,17 +202,10 @@ class WorkerServer:
                 send_message(conn, {"kind": "ping"}, endpoint="worker")
         self.chunks_served += 1
         if "error" in box:
-            send_message(
-                conn,
-                {"kind": "chunk_error", "id": message["id"], "error": box["error"]},
-                endpoint="worker",
-            )
+            reply = {"kind": "chunk_error", "error": box["error"]}
         else:
-            send_message(
-                conn,
-                {"kind": "result", "id": message["id"], "value": box["value"]},
-                endpoint="worker",
-            )
+            reply = {"kind": "result", **encode_family(box["value"])}
+        send_message(conn, {**reply, "id": message.get("id")}, endpoint="worker")
 
 
 def serve_worker(
@@ -262,17 +237,17 @@ def serve_worker(
 
 
 class _Job:
-    """One queued chunk: payload, its family, and the engine's future."""
+    """One queued chunk: its task groups, its family and its future."""
 
-    __slots__ = ("id", "payload", "preprice", "family", "n_tasks", "future")
+    __slots__ = ("id", "payload", "family", "future", "timed_out")
 
-    def __init__(self, job_id: int, payload: tuple, preprice: bool) -> None:
+    def __init__(self, job_id: int, payload: tuple) -> None:
         self.id = job_id
         self.payload = payload
-        self.preprice = preprice
         self.family = payload[0][0].benchmark
-        self.n_tasks = sum(len(group) for group in payload)
         self.future: Future = Future()
+        #: set by :meth:`RemoteWorkerPool.abort` before it drops the link
+        self.timed_out = False
 
 
 class RemoteWorkerPool:
@@ -280,15 +255,14 @@ class RemoteWorkerPool:
 
     ``task_fields`` renders one task's trace fields (the engine passes
     its own helper so remote events share the campaign vocabulary);
-    ``backoff`` maps a retry attempt number to a sleep in seconds (the
-    engine passes its jittered exponential policy); ``clock`` supplies
-    the injectable sleep.  Budget and heartbeat watchdogs read the real
-    monotonic clock — they bound *socket* reads, which no fake clock
-    can accelerate.
+    ``backoff`` maps a reconnect attempt number to a sleep in seconds
+    (the engine passes its jittered exponential policy), slept through
+    ``clock``.  The heartbeat watchdog bounds *socket* reads and so
+    reads real time.
 
     Trace events are never emitted from dispatcher threads: they queue
-    into :attr:`events` and the engine drains them between waits, so
-    the campaign's trace sink needs no locking.
+    until the engine collects them with :meth:`poll`, so the campaign's
+    trace sink needs no locking.
     """
 
     def __init__(
@@ -297,7 +271,7 @@ class RemoteWorkerPool:
         *,
         task_fields: Callable[[object], dict],
         clock=None,
-        cell_timeout_s: float | None = None,
+        preprice: bool = True,
         heartbeat_timeout_s: float = HEARTBEAT_TIMEOUT_S,
         connect_timeout_s: float = CONNECT_TIMEOUT_S,
         reconnect_attempts: int = 2,
@@ -306,8 +280,8 @@ class RemoteWorkerPool:
         if not addrs:
             raise ValueError("RemoteWorkerPool needs at least one worker address")
         self.task_fields = task_fields
-        self.clock = clock
-        self.cell_timeout_s = cell_timeout_s
+        self.clock = clock or Clock()
+        self.preprice = preprice
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.connect_timeout_s = connect_timeout_s
         self.reconnect_attempts = reconnect_attempts
@@ -352,49 +326,53 @@ class RemoteWorkerPool:
             self._closed = True
             self._cond.notify_all()
         for worker in self._workers:
+            if worker.job is not None:
+                worker.drop()  # abandon a chunk still running
             worker.join(timeout=self.connect_timeout_s + 5.0)
-        self._fail_queued(PoolExhausted("remote worker pool closed"))
+        self._fail_queued("remote worker pool closed")
 
     # ------------------------------------------------------------------
-    # scheduling
+    # the executor contract
     # ------------------------------------------------------------------
-    def submit(self, payload: tuple, preprice: bool) -> Future:
+    def submit(self, groups: tuple) -> Future:
         """Queue one chunk; its future resolves with the family rows or
-        fails with :class:`WorkerLost` / :class:`PoolExhausted`."""
-        job = _Job(next(self._ids), payload, preprice)
+        fails with :class:`~repro.experiments.engine.ChunkLost`."""
+        job = _Job(next(self._ids), groups)
         with self._cond:
             if self._closed or self.exhausted():
-                job.future.set_exception(
-                    PoolExhausted("no remote workers available")
-                )
+                job.future.set_exception(ChunkLost("no remote workers available"))
                 return job.future
             self._queue.append(job)
             self._cond.notify_all()
         return job.future
 
-    def drain_events(self, tracer) -> None:
-        """Emit queued worker events into the campaign trace (engine
-        thread only)."""
+    def probe(self, task) -> Future:
+        """Run one suspect task alone, on whichever worker is live."""
+        return self.submit(((task,),))
+
+    def abort(self, future: Future) -> None:
+        """Drop the connection running ``future``'s chunk; the chunk
+        fails with ``ChunkLost(timed_out=True)``."""
+        for worker in self._workers:
+            job = worker.job
+            if job is not None and job.future is future:
+                job.timed_out = True
+                worker.drop()
+
+    def poll(self) -> list[tuple[str, dict]]:
+        """The worker events queued since the last poll."""
+        events = []
         while True:
             try:
-                name, fields = self.events.get_nowait()
+                events.append(self.events.get_nowait())
             except queue_mod.Empty:
-                return
-            tracer.emit(name, **fields)
+                return events
 
     # ------------------------------------------------------------------
     # dispatcher-thread internals
     # ------------------------------------------------------------------
     def _emit(self, name: str, **fields) -> None:
         self.events.put((name, fields))
-
-    def _sleep(self, seconds: float) -> None:
-        if seconds <= 0:
-            return
-        if self.clock is not None:
-            self.clock.sleep(seconds)
-        else:
-            time.sleep(seconds)
 
     def _next_job(self, worker: "_WorkerLink") -> _Job | None:
         """Block for this worker's next chunk (``None`` = shut down).
@@ -438,23 +416,14 @@ class RemoteWorkerPool:
         """Called by a link entering terminal death; the last one out
         fails every queued job so the engine can degrade locally."""
         if self.exhausted():
-            self._fail_queued(PoolExhausted("every remote worker is gone"))
+            self._fail_queued("every remote worker is gone")
 
-    def _fail_queued(self, exc: Exception) -> None:
+    def _fail_queued(self, reason: str) -> None:
         with self._cond:
             jobs, self._queue = self._queue, []
         for job in jobs:
             if not job.future.done():
-                job.future.set_exception(exc)
-
-
-class _LinkDead(Exception):
-    """Internal: this connection is unusable; reconnect or retire."""
-
-    def __init__(self, reason: str, timed_out: bool = False) -> None:
-        super().__init__(reason)
-        self.reason = reason
-        self.timed_out = timed_out
+                job.future.set_exception(ChunkLost(reason))
 
 
 class _WorkerLink(threading.Thread):
@@ -463,7 +432,8 @@ class _WorkerLink(threading.Thread):
     ``state`` walks ``connecting → alive → (connecting ↔ alive)* →
     dead``; ``settled`` is set once the first connection attempt has a
     verdict, so :meth:`RemoteWorkerPool.connect` can report joins and
-    rejections before the campaign schedules anything.
+    rejections before the campaign schedules anything.  ``job`` is the
+    chunk on the wire, if any.
     """
 
     def __init__(self, pool: RemoteWorkerPool, addr: str) -> None:
@@ -472,6 +442,8 @@ class _WorkerLink(threading.Thread):
         self.addr = addr
         self.state = "connecting"
         self.settled = threading.Event()
+        self.sock: socket.socket | None = None
+        self.job: _Job | None = None
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -487,45 +459,54 @@ class _WorkerLink(threading.Thread):
                 )
                 self._retire()
                 return
-            except (OSError, ProtocolError) as exc:
+            except (OSError, ProtocolError):
                 self.settled.set()
-                attempt += 1
-                if attempt > pool.reconnect_attempts:
-                    self._retire()
-                    return
-                pool._sleep(pool.backoff(attempt))
-                continue
-            attempt = 0
-            self.state = "alive"
-            self.settled.set()
-            pool._emit(
-                "worker_joined",
-                detail={
-                    "worker": self.addr,
-                    "namespace": theirs.namespace,
-                    "version": theirs.version,
-                },
-            )
-            try:
-                self._serve(sock)
-                return  # clean pool shutdown
-            except _LinkDead as exc:
-                self.state = "connecting"
-                pool._drop_affinity(self.addr)
+            else:
+                attempt = 0
+                self.state = "alive"
+                self.settled.set()
                 pool._emit(
-                    "worker_lost",
-                    detail={"worker": self.addr, "reason": exc.reason},
+                    "worker_joined",
+                    detail={
+                        "worker": self.addr,
+                        "namespace": theirs.namespace,
+                        "version": theirs.version,
+                    },
                 )
-                attempt += 1
-                if attempt > pool.reconnect_attempts:
-                    self._retire()
-                    return
-                pool._sleep(pool.backoff(attempt))
+                try:
+                    self._serve(sock)
+                    return  # clean pool shutdown
+                except ChunkLost as exc:
+                    if pool._closed:
+                        return
+                    self.state = "connecting"
+                    pool._drop_affinity(self.addr)
+                    pool._emit(
+                        "worker_lost",
+                        detail={"worker": self.addr, "reason": exc.reason},
+                    )
+            attempt += 1
+            if attempt > pool.reconnect_attempts:
+                self._retire()
+                return
+            delay = pool.backoff(attempt)
+            if delay > 0:
+                pool.clock.sleep(delay)
 
     def _retire(self) -> None:
         self.state = "dead"
         self.settled.set()
         self.pool._worker_retired()
+
+    def drop(self) -> None:
+        """Shut the live connection down (from any thread); a blocked
+        read on it fails at once."""
+        sock = self.sock
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     # ------------------------------------------------------------------
     def _connect(self) -> tuple[socket.socket, Handshake]:
@@ -551,8 +532,10 @@ class _WorkerLink(threading.Thread):
         return sock, theirs
 
     def _serve(self, sock: socket.socket) -> None:
-        """Pull chunks until shutdown; raise :class:`_LinkDead` on any
-        connection trouble (the current job's future is failed first)."""
+        """Pull chunks until shutdown; raise :class:`ChunkLost` on any
+        connection trouble (the current job's future fails with it)."""
+        self.sock = sock
+        sock.settimeout(self.pool.heartbeat_timeout_s)
         try:
             while True:
                 job = self.pool._next_job(self)
@@ -561,15 +544,11 @@ class _WorkerLink(threading.Thread):
                         send_message(sock, {"kind": "bye"}, endpoint="coordinator")
                     except OSError:
                         pass
-                    sock.close()
                     return
                 self._run_job(sock, job)
-        except _LinkDead:
-            try:
-                sock.close()
-            except OSError:
-                pass
-            raise
+        finally:
+            self.sock = None
+            sock.close()
 
     def _run_job(self, sock: socket.socket, job: _Job) -> None:
         pool = self.pool
@@ -580,59 +559,44 @@ class _WorkerLink(threading.Thread):
                     detail={"worker": self.addr},
                     **pool.task_fields(task),
                 )
-        budget = (
-            pool.cell_timeout_s * job.n_tasks
-            if pool.cell_timeout_s is not None
-            else None
-        )
-        deadline = time.monotonic() + budget if budget is not None else None
+        self.job = job
+        job.future.set_running_or_notify_cancel()  # the budget starts now
         try:
             send_message(
                 sock,
                 {
                     "kind": "chunk",
                     "id": job.id,
-                    "groups": job.payload,
-                    "preprice": job.preprice,
+                    "groups": encode_chunk(job.payload),
+                    "preprice": pool.preprice,
                 },
                 endpoint="coordinator",
             )
             while True:
-                timeout = pool.heartbeat_timeout_s
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise _LinkDead(
-                            f"chunk overran its {budget:g}s budget", timed_out=True
-                        )
-                    timeout = min(timeout, remaining)
-                sock.settimeout(timeout)
                 try:
                     message = recv_message(sock)
                 except socket.timeout:
-                    if deadline is not None and time.monotonic() >= deadline:
-                        raise _LinkDead(
-                            f"chunk overran its {budget:g}s budget", timed_out=True
-                        ) from None
-                    raise _LinkDead(
-                        f"no heartbeat for {pool.heartbeat_timeout_s:g}s"
-                    ) from None
+                    raise ChunkLost(f"no heartbeat for {pool.heartbeat_timeout_s:g}s") from None
                 kind = message.get("kind")
                 if kind == "ping":
-                    continue  # liveness only; budget still applies
+                    continue  # liveness only
                 if kind == "result" and message.get("id") == job.id:
+                    value = decode_family(message)
                     pool._record_affinity(job.family, self.addr)
-                    job.future.set_result(message["value"])
+                    job.future.set_result(value)
                     return
                 if kind == "chunk_error" and message.get("id") == job.id:
-                    raise _LinkDead(f"worker-side error: {message.get('error')}")
-                raise _LinkDead(f"protocol violation: unexpected {kind!r} frame")
-        except _LinkDead as exc:
-            job.future.set_exception(
-                WorkerLost(self.addr, exc.reason, timed_out=exc.timed_out)
-            )
-            raise
-        except (OSError, ConnectionClosed, ProtocolError) as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-            job.future.set_exception(WorkerLost(self.addr, reason))
-            raise _LinkDead(reason) from exc
+                    raise ChunkLost(f"worker-side error: {message.get('error')}")
+                raise ChunkLost(f"protocol violation: unexpected {kind!r} frame")
+        except (ChunkLost, OSError, ProtocolError) as exc:
+            if job.timed_out:
+                reason = "chunk overran its budget"
+            elif isinstance(exc, ChunkLost):
+                reason = exc.reason
+            else:
+                reason = f"{type(exc).__name__}: {exc}"
+            lost = ChunkLost(reason, timed_out=job.timed_out)
+            job.future.set_exception(lost)
+            raise lost from exc
+        finally:
+            self.job = None

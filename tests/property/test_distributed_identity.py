@@ -88,6 +88,29 @@ def test_two_loopback_workers_byte_identical(local_json):
 
 
 @pytest.mark.timeout_guard(300)
+def test_non_default_platform_crosses_the_wire():
+    """A what-if platform ships field by field through the JSON task
+    codec: two loopback workers on the Mali-T628 platform produce the
+    bytes of a local jobs=1 run on it."""
+    from repro.whatif import mali_t628_platform
+
+    spec = CampaignSpec(**GRID, platform=mali_t628_platform())
+    local = Campaign(spec).run(jobs=1).to_json()
+    servers = [WorkerServer(), WorkerServer()]
+    for server in servers:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+    campaign = Campaign(spec, workers=[s.address for s in servers])
+    try:
+        remote = campaign.run(jobs=2).to_json()
+    finally:
+        for server in servers:
+            server.stop()
+    assert remote == local
+    assert campaign.report.degraded == ()
+    assert sum(s.chunks_served for s in servers) >= 2
+
+
+@pytest.mark.timeout_guard(300)
 def test_mid_campaign_worker_kill_byte_identical(tmp_path, local_json):
     """A worker process dying mid-chunk must not change the bytes.
 

@@ -1,7 +1,9 @@
 """API hygiene: public surface exists, is documented, and is consistent."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -97,3 +99,25 @@ def test_grid_entry_points_keyword_only_past_first(func_name):
         assert param.kind is param.KEYWORD_ONLY, (
             f"{func_name}({param.name}=...) must be keyword-only"
         )
+
+
+def _imported_modules(path: Path) -> set[str]:
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_socket_module_imports_pickle():
+    """Nothing read from a network peer is unpickled: no ``repro``
+    module that imports ``socket`` may import ``pickle``."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        imported = _imported_modules(path)
+        if "socket" in imported and "pickle" in imported:
+            offenders.append(str(path.relative_to(root)))
+    assert not offenders, f"modules importing both socket and pickle: {offenders}"

@@ -421,6 +421,27 @@ class TestDeadlineWatchdog:
         assert resumed.report.replayed == salvaged_ok
 
 
+    @pytest.mark.timeout_guard(120)
+    def test_deadline_bounds_suspect_cell_probe(self, tmp_path):
+        """A probe waits in the driver's deadline-aware poll: the red
+        kill breaks the pool, both cells go to probes (retries=0), and
+        the hanging vecop probe is cut off at the deadline, not after
+        its 15 s hang."""
+        spec = CampaignSpec(benchmarks=("vecop", "red"), versions=(Version.SERIAL,), scale=0.02)
+        campaign = Campaign(spec, retries=0, deadline_s=3.0)
+        with injected(
+            FaultSpec(benchmark="red", mode="exit", times=1),
+            FaultSpec(benchmark="vecop", mode="hang", times=-1, seconds=15.0),
+            state_dir=tmp_path,
+        ):
+            t0 = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                campaign.run(jobs=2)
+            elapsed = time.monotonic() - t0
+        assert elapsed < 3.0 + 2.0
+        assert campaign.salvage is not None
+
+
 class TestTierDegradation:
     """Mode "enospc": resource exhaustion disables a tier, not the run."""
 

@@ -10,14 +10,18 @@ campaign's ``ResultSet.to_json()`` stays byte-identical to a local run.
 
 from __future__ import annotations
 
+import builtins
+import pickle
 import socket
+import struct
 import sys
 import threading
 import warnings
+import zlib
 
 import pytest
 
-from repro.benchmarks.base import Version
+from repro.benchmarks.base import Precision, Version
 from repro.experiments import (
     Campaign,
     CampaignSpec,
@@ -31,6 +35,8 @@ from repro.experiments import faults
 from repro.experiments.protocol import (
     ConnectionClosed,
     FrameError,
+    decode_chunk,
+    encode_chunk,
     recv_message,
     send_message,
 )
@@ -69,16 +75,21 @@ class TestFraming:
         send_message(a, {"kind": "ping", "n": 3})
         assert recv_message(b) == {"kind": "ping", "n": 3}
 
-    def test_pickle_fallback_roundtrip(self):
-        """Messages with non-JSON values (tuples of objects) survive the
-        wire bit-exactly — the tuple/list distinction matters because
-        chunk payloads are tuples of RunTask groups."""
+    def test_task_chunk_roundtrip_through_codec(self):
+        """Chunk payloads cross as plain JSON through the task codec and
+        come back bit-exactly — tuples of RunTask groups included."""
+        spec = CampaignSpec(**GRID)
+        groups = (spec.tasks()[:2], spec.tasks()[2:])
         a, b = _sockpair()
-        payload = {"kind": "chunk", "groups": ((Version.SERIAL, 1.5),)}
-        send_message(a, payload)
-        received = recv_message(b)
-        assert received == payload
-        assert isinstance(received["groups"], tuple)
+        send_message(a, {"kind": "chunk", "groups": encode_chunk(groups)})
+        received = decode_chunk(recv_message(b)["groups"])
+        assert received == groups
+        assert isinstance(received[0], tuple)
+
+    def test_non_json_message_refused(self):
+        a, _b = _sockpair()
+        with pytest.raises(FrameError, match="not plain JSON"):
+            send_message(a, {"kind": "chunk", "groups": ((Version.SERIAL, 1.5),)})
 
     def test_crc_corruption_detected(self):
         a, b = _sockpair()
@@ -129,6 +140,52 @@ class TestFraming:
         c.sendall(struct.pack("!cII", b"J", len(payload), zlib.crc32(payload)) + payload)
         with pytest.raises(FrameError, match="without a kind"):
             recv_message(d)
+
+
+class _Pwn:
+    """A pickle that runs code when loaded."""
+
+    def __reduce__(self):
+        return (exec, ("import builtins; builtins._repro_pwned = True",))
+
+
+def _pickle_frame() -> bytes:
+    payload = pickle.dumps({"kind": "chunk", "id": 0, "groups": _Pwn()})
+    return struct.pack("!cII", b"P", len(payload), zlib.crc32(payload)) + payload
+
+
+class TestNoUnpickle:
+    """Nothing read from a socket is unpickled: a ``P`` frame is an
+    unknown frame kind, refused before its payload is decoded."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_builtins(self):
+        builtins.__dict__.pop("_repro_pwned", None)
+        yield
+        builtins.__dict__.pop("_repro_pwned", None)
+
+    def test_recv_message_rejects_pickle_frame(self):
+        c, d = _sockpair()
+        c.sendall(_pickle_frame())
+        with pytest.raises(FrameError, match="unknown frame kind"):
+            recv_message(d)
+        assert not hasattr(builtins, "_repro_pwned")
+
+    @pytest.mark.timeout_guard(60)
+    def test_worker_drops_pickle_frame_after_handshake(self):
+        server = WorkerServer()
+        _serve(server)
+        sock = socket.create_connection((server.host, server.port), timeout=10)
+        try:
+            send_message(sock, Handshake.local().to_message())
+            assert recv_message(sock)["kind"] == "hello"
+            sock.sendall(_pickle_frame())
+            with pytest.raises((FrameError, ConnectionClosed, ConnectionResetError)):
+                recv_message(sock)
+        finally:
+            sock.close()
+            server.stop()
+        assert not hasattr(builtins, "_repro_pwned")
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +502,54 @@ class TestRemoteExecution:
                     s.stop()
         assert out == local_json
         assert campaign.report.failed_runs == ()
+
+    @pytest.mark.timeout_guard(300)
+    def test_remote_crash_row_keeps_its_traceback(self, tmp_path, local_json):
+        """A crash captured on a worker crosses the wire as its row plus
+        the traceback, which lands in the run_crashed trace detail."""
+        server = WorkerServer()
+        _serve(server)
+        sink = ListTraceSink()
+        with faults.injected(
+            faults.FaultSpec(benchmark="vecop", version="OpenCL", mode="raise", times=-1),
+            state_dir=tmp_path / "state",
+        ):
+            campaign = Campaign(CampaignSpec(**GRID), trace=sink, workers=[server.address])
+            try:
+                campaign.run(jobs=1)
+            finally:
+                server.stop()
+        (crashed,) = [e for e in sink.events if e.event == "run_crashed"]
+        assert crashed.detail["failure"].startswith("crash: InjectedCrash")
+        assert "InjectedCrash" in crashed.detail["traceback"]
+        assert campaign.report.degraded == ()
+
+    @pytest.mark.timeout_guard(300)
+    def test_remote_hang_aborted_and_demoted(self, tmp_path):
+        """The driver's chunk budget covers remote chunks: an overrun
+        drops the connection, the ladder narrows the hang to its cell
+        and demotes it to a timeout result; the tier survives."""
+        server = WorkerServer()
+        _serve(server)
+        sink = ListTraceSink()
+        cell = ("vecop", Version.OPENCL, Precision.SINGLE)
+        with faults.injected(
+            faults.FaultSpec(benchmark="vecop", version="OpenCL", mode="hang", times=-1, seconds=30.0),
+            state_dir=tmp_path / "state",
+        ):
+            campaign = Campaign(
+                CampaignSpec(**GRID), trace=sink, workers=[server.address], cell_timeout_s=1.0
+            )
+            try:
+                results = campaign.run(jobs=1)
+            finally:
+                server.stop()
+        assert results.results[cell].timed_out
+        assert sum(r.ok for r in results.results.values()) == CampaignSpec(**GRID).size - 1
+        assert campaign.report.timeout_runs == (cell,)
+        assert campaign.report.degraded == ()
+        lost = [e.detail["reason"] for e in sink.events if e.event == "worker_lost"]
+        assert lost and all("overran its budget" in reason for reason in lost)
 
     @pytest.mark.timeout_guard(300)
     def test_workers_param_threads_through_run_grid(self, local_json):
