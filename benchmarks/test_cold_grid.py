@@ -1,13 +1,14 @@
-"""Cold-grid pricing throughput: batched ``repro.pricing`` vs scalar.
+"""Cold-grid pricing throughput: the board stacks vs per-cell entries.
 
 Builds the full SP+DP pricing grid — every benchmark × precision CPU
 Serial/OpenMP cell plus every compilable (options, local size) point of
 every tuning space as GPU launch cells — and times pricing the whole
 set two ways:
 
-* **batched** — a fresh ``PlatformPricing`` facade per round (cold
-  vectorized tables, cold memo lane via ``perf.reset``), one
-  ``price(cells)`` call per layer;
+* **batched** — one board :class:`~repro.cpu.pricing.CpuConfigStack`
+  and one board :class:`~repro.mali.timing.GpuConfigStack` over the
+  whole cell set per round (``timings()``, the k = 1 call; cold memo
+  lane via ``perf.reset``);
 * **scalar** — the per-cell one-shot entry points ``time_serial`` /
   ``time_openmp`` / ``time_launch`` under an equally cold memo: the
   cost profile of the pre-batching campaign, which priced every grid
@@ -22,7 +23,7 @@ floor (≥3×); the committed ``BENCH_cold_grid.json`` at the repo root
 records the full-scale number (see EXPERIMENTS.md).
 
 "Cold" means the priced-results memo is empty (``perf.reset`` before
-every round) and every facade, pricer, and warmed slice is rebuilt.
+every round) and every stack, pricer, and warmed slice is rebuilt.
 Process-level *derived-constant* caches are deliberately outside the
 reset: memo-key tokens, mix columns, and per-stream-mix traffic tables
 are pure functions of the compiled kernels and the frozen calibration
@@ -54,8 +55,9 @@ from repro.benchmarks.registry import create
 from repro.calibration.exynos5250 import default_platform
 from repro.compiler.pipeline import compile_kernel
 from repro.cpu.openmp import time_openmp
+from repro.cpu.pricing import CpuConfigStack
 from repro.cpu.serial import time_serial
-from repro.mali.timing import time_launch
+from repro.mali.timing import GpuConfigStack, time_launch
 from repro.ocl.driver import default_quirks, driver_local_size
 from repro.pricing import MODE_OPENMP, MODE_SERIAL, CpuCell, GpuLaunchCell
 from tests.oracles import _time_launch_uncached, _time_openmp_scalar, _time_serial_scalar
@@ -118,9 +120,11 @@ def _build_cells():
 
 
 def _price_batched(platform, cpu_cells, gpu_cells):
-    """One vectorized pass per layer through a cold facade."""
-    pricing = platform.pricing_model()
-    return pricing.cpu.price(cpu_cells) + pricing.gpu.price(gpu_cells)
+    """One board stack per model over the whole cell set."""
+    dram = platform.dram_model()
+    cpu = CpuConfigStack(cpu_cells, platform.cpu, dram, platform.cpu_caches())
+    gpu = GpuConfigStack(gpu_cells, platform.mali, dram, platform.gpu_caches())
+    return cpu.timings() + gpu.timings()
 
 
 def _price_scalar(platform, cpu_cells, gpu_cells):
@@ -183,7 +187,7 @@ def _price_reference_walk(platform, cpu_cells, gpu_cells):
 
 
 def test_cold_grid_batched(benchmark):
-    """Full SP+DP cell set through the batched models, cold every round."""
+    """Full SP+DP cell set through the board stacks, cold every round."""
     platform, cpu_cells, gpu_cells, n_infeasible = _build_cells()
     rows = benchmark.pedantic(
         lambda: _price_batched(platform, cpu_cells, gpu_cells),
@@ -211,7 +215,7 @@ def test_cold_grid_scalar(benchmark):
 
 
 def test_cold_grid_speedup_and_identity(benchmark):
-    """Batched ≥3× the per-cell cold path (CI floor), rows bitwise equal.
+    """Board stacks ≥3× the per-cell cold path (CI floor), rows bitwise equal.
 
     The recorded ``speedup_vs_scalar`` is the headline number; the
     in-test floor stays conservative so shared CI runners don't flake.

@@ -10,8 +10,9 @@ launch cell) and prices a 64-point SoC design space two ways:
   few ``(configs × cells)`` NumPy passes plus
   :func:`repro.power.rails.stack_watts`;
 * **facade loop** — :func:`tests.oracles.facade_rows`
-  per config: a fresh ``PlatformPricing`` facade per SoC, the cost
-  profile of running the PR-6 batched grid once per config.
+  per config: a fresh ``PlatformPricing`` facade per SoC, every cell
+  through its model's ``price_one`` and its power through
+  ``BoardPowerModel.trace`` — the grid walked once per config.
 
 Every row is bitwise-identical between the two (asserted below and
 in ``tests/property/test_grid_pricing_identity.py``, including the

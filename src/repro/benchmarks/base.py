@@ -501,9 +501,9 @@ def measure_trace(
 def cpu_pricing_inputs(bench: Benchmark) -> tuple:
     """(ir, mix, traits, n) of a benchmark's CPU versions (IR validated).
 
-    Shared by the per-cell path (:func:`run_cpu_version`) and the
-    campaign's batched seeding (:func:`repro.pricing.grid.seed_cpu_timing`)
-    so both derive their cells from identical inputs.
+    Shared by the per-cell path (:func:`run_cpu_version`), the design
+    space and the model-only estimates, so all derive their cells from
+    identical inputs.
     """
     ir = bench.serial_ir()
     validate(ir)
@@ -514,8 +514,8 @@ def cpu_pricing_inputs(bench: Benchmark) -> tuple:
 def cpu_pricing_key(bench: Benchmark, ir, version: Version, n: int, traits, pricing):
     """The ``cpu_timing`` memo key of one CPU cell.
 
-    One construction site for the key keeps the batched seeding path and
-    the per-cell lookup path pointing at the same memo/persist slots.
+    One construction site for the key keeps every lookup of a CPU cell
+    pointing at the same memo/persist slots.
     """
     return perf.content_key(
         (

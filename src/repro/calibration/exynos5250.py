@@ -76,11 +76,11 @@ class ExynosPlatform:
         return YokogawaWT230(self.meter_sample_hz, self.meter_accuracy, seed=seed)
 
     def pricing_model(self):
-        """Every batched pricing model of this platform, as one facade.
+        """The pricing entries of this platform, as one facade.
 
         The single seam through which callers get model objects: GPU
-        launch timing, CPU timing, DRAM transfers and board power as
-        one :class:`~repro.pricing.grid.PlatformPricing` — nobody has to
+        launch timing, CPU timing and board power, over one shared DRAM
+        model, as one :class:`~repro.pricing.grid.PlatformPricing` — nobody has to
         assemble DRAM/cache/power models by hand, and a future SoC
         design-space explorer can inject variant platforms here.
         """

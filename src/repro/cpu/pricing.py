@@ -7,8 +7,8 @@ of the instruction mix, the L1 hit fraction, the DRAM traffic and its
 transfer time — then evaluates the core cycle and instruction counts of
 each group's cells in one 2-D NumPy pass and replays the Serial/OpenMP
 epilogues as ``(configs × cells)`` array passes.  The Exynos board is
-the k = 1 call: :class:`CpuPricingModel` and the one-shot
-``time_serial`` / ``time_openmp`` entry points price through
+the k = 1 call: :meth:`CpuPricingModel.price_one` (behind the one-shot
+``time_serial`` / ``time_openmp`` entry points) prices one cell through
 :meth:`CpuConfigStack.timings`, which wraps the board's lanes into
 :class:`~repro.cpu.serial.CpuTiming` records.
 
@@ -31,13 +31,10 @@ from ..ir.analysis import InstructionMix
 from ..ir.nodes import AccessPattern, MemSpace
 from ..memory.cache import CacheHierarchy
 from ..memory.dram import DramModel
+from ..pricing.cells import MODE_OPENMP, MODE_SERIAL
 from ..workload import WorkloadTraits
 from .config import A15Config
 from .serial import CpuTiming
-
-#: ``CpuCell.mode`` values
-MODE_SERIAL = "serial"
-MODE_OPENMP = "openmp"
 
 _IRREGULAR = (AccessPattern.STRIDED, AccessPattern.GATHER, AccessPattern.ATOMIC)
 
@@ -246,24 +243,17 @@ def _cycle_lanes(mix: InstructionMix, config: A15Config, entry: tuple, ns):
 
 
 class CpuPricingModel:
-    """Batched :class:`~repro.pricing.PricingModel` over CPU cells: one
-    :class:`CpuConfigStack` per ``price`` call, priced at its k = 1 row."""
+    """Serial/OpenMP pricing on one platform: each cell is a one-cell
+    :class:`CpuConfigStack` priced at its board row."""
 
     def __init__(self, config: A15Config, dram: DramModel, caches: CacheHierarchy):
         self.config = config
         self.dram = dram
         self.caches = caches
 
-    def price(self, cells) -> tuple[CpuTiming, ...]:
-        """Timings for each :class:`~repro.pricing.CpuCell`."""
-        cells = tuple(cells)
-        if not cells:
-            return ()
-        return CpuConfigStack(cells, self.config, self.dram, self.caches).timings()
-
     def price_one(self, cell) -> CpuTiming:
-        """Single-cell convenience (a one-cell stack)."""
-        return self.price((cell,))[0]
+        """The timing of one :class:`~repro.pricing.CpuCell`."""
+        return CpuConfigStack((cell,), self.config, self.dram, self.caches).timings()[0]
 
 
 # ---------------------------------------------------------------------------

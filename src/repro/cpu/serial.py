@@ -54,8 +54,7 @@ def time_serial(
     iteration; ``traits.streams`` describe that iteration's footprints.
 
     A one-cell :class:`~repro.cpu.pricing.CpuConfigStack` on the board;
-    sweeps pricing many cells should go through
-    :class:`~repro.cpu.pricing.CpuPricingModel`, one stack per batch.
+    sweeps pricing many cells should build one stack over all of them.
     """
     # deferred: pricing imports CpuTiming
     from ..pricing.cells import MODE_SERIAL, CpuCell

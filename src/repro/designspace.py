@@ -2,9 +2,9 @@
 
 The ROADMAP's question — *"what Mali would beat the 2×A15 at equal
 energy?"* — needs the full (configs × benchmarks × versions ×
-vector-widths × precision) hypercube priced cheaply.  Looping the
-per-config :class:`~repro.pricing.grid.PlatformPricing` facade is
-correct but pays the whole grid walk once per config; this module
+vector-widths × precision) hypercube priced cheaply.  Pricing each
+cell of each config through its own platform's ``price_one`` entries
+is correct but walks the whole grid once per config; this module
 evaluates the hypercube as *stacked* NumPy evaluations instead:
 
 * the cell grid (CPU Serial/OpenMP cells + every autotuner candidate of
@@ -17,10 +17,10 @@ evaluates the hypercube as *stacked* NumPy evaluations instead:
 * board power comes from :func:`~repro.power.rails.stack_watts` over the
   row arrays.
 
-The stacks are the one Mali and A15 timing kernel: the per-config
-:class:`~repro.pricing.grid.PlatformPricing` facade prices its board
-through the same stacks as a one-config row, so every lane here is the
-value that config's own platform would report.
+The stacks are the one Mali and A15 timing kernel: a config's own
+platform prices each cell (``pricing_model().gpu.price_one`` /
+``.cpu.price_one``) as a one-cell, one-config stack, so every lane here
+is the value that config's own platform would report.
 
 The **Opt** version of a (config, benchmark, precision) point is the
 feasible candidate minimizing ``seconds × launches`` — the autotuner's
@@ -1744,7 +1744,7 @@ def opt_over_serial(
 ) -> dict:
     """Model-only Opt-over-Serial speedup per platform variant.
 
-    The single batched-pricing path behind :func:`repro.whatif.estimate_speedups`
+    The single model-only path behind :func:`repro.whatif.estimate_speedups`
     and the sensitivity probes: every number comes from each platform's
     ``pricing_model()`` — tuner pricing for the Opt candidate, the CPU
     pricer for the Serial baseline — with no functional NumPy execution

@@ -255,26 +255,6 @@ def _worker_loss_result(task: RunTask, exc: "ChunkLost", attempts: int) -> RunRe
     )
 
 
-def _preprice_group(bench: Benchmark, tasks: tuple[RunTask, ...]) -> int:
-    """Batch-price a version group's CPU timings before dispatch.
-
-    One vectorized pricing pass seeds the ``cpu_timing`` memo under the
-    exact keys each cell will look up, so the group's Serial/OpenMP
-    cells all hit warm.  Strictly an optimization: the seeded rows are
-    bitwise what the per-cell path computes, and any pricing error is
-    swallowed here so the cell itself reports it through the normal
-    crash-capture machinery.  Returns the number of seeded timings (0
-    when the perf memo is disabled or seeding failed), so the campaign
-    report can record sweep provenance.
-    """
-    from ..pricing.grid import seed_cpu_timing
-
-    try:
-        return seed_cpu_timing(bench, [task.version for task in tasks])
-    except Exception:  # noqa: BLE001 — the cell's own run surfaces errors
-        return 0
-
-
 def _create_bench(task: RunTask) -> tuple[Benchmark | None, Exception | None]:
     """The task's benchmark instance, or the exception its setup raised."""
     try:
@@ -313,8 +293,7 @@ def _safe_run(bench: Benchmark, task: RunTask) -> RunResult:
 
 def _execute_family(
     groups: tuple[tuple[RunTask, ...], ...],
-    preprice: bool = True,
-) -> tuple[tuple[tuple[RunResult, dict], ...], dict, int]:
+) -> tuple[tuple[tuple[RunResult, dict], ...], dict]:
     """Pool entry for one benchmark *family* (all its pending groups).
 
     Cache-affinity scheduling: every pending (precision) version-group
@@ -324,9 +303,7 @@ def _execute_family(
     precisions instead of being rebuilt cold in whichever worker a
     group happened to land on.  Within a group all versions share one
     benchmark instance (setup dominates a cell at paper scale), exactly
-    like the classic serial loop.  With ``preprice`` on, each group's
-    Serial/OpenMP timings are batch-priced into the ``cpu_timing`` memo
-    (one vectorized pass) before its cells dispatch.
+    like the classic serial loop.
 
     Fault isolation: a cell whose execution raises — including a
     failing benchmark ``setup`` — becomes a crashed :class:`RunResult`
@@ -335,18 +312,14 @@ def _execute_family(
 
     Returns each group's ``(run, per-run perf delta)`` pairs plus the
     family-level perf delta (which also covers setup/verification work
-    outside the per-run windows) and the number of prepriced timings,
-    so the parent can fold worker cache activity into
-    :attr:`CampaignReport.perf` and the trace.
+    outside the per-run windows), so the parent can fold worker cache
+    activity into :attr:`CampaignReport.perf` and the trace.
     """
     family_before = perf.counters()
     out: list[tuple[tuple[RunResult, dict], ...]] = []
-    prepriced = 0
     for tasks in groups:
         bench = None  # drop the previous group's instance before setup
         bench, bench_exc = _create_bench(tasks[0])
-        if bench is not None and preprice:
-            prepriced += _preprice_group(bench, tasks)
         runs: list[tuple[RunResult, dict]] = []
         for task in tasks:
             before = perf.counters()
@@ -357,7 +330,7 @@ def _execute_family(
             runs.append((run, perf.counters_delta(before, perf.counters())))
         out.append(tuple(runs))
     family_delta = perf.counters_delta(family_before, perf.counters())
-    return tuple(out), family_delta, prepriced
+    return tuple(out), family_delta
 
 
 class ChunkLost(ReproError):
@@ -379,8 +352,8 @@ class Executor(Protocol):
 
     Implemented by :class:`LocalPool` and
     :class:`~repro.experiments.remote.RemoteWorkerPool`.  A future
-    resolves to :func:`_execute_family`'s ``(group_runs, family_delta,
-    prepriced)`` or fails with :class:`ChunkLost`; a terminal error
+    resolves to :func:`_execute_family`'s ``(group_runs, family_delta)``
+    or fails with :class:`ChunkLost`; a terminal error
     (e.g. ``KeyboardInterrupt`` in a worker) passes through unchanged.
     Every method is called from the driver's thread only.
     """
@@ -443,10 +416,9 @@ class LocalPool:
     pool runs the future.
     """
 
-    def __init__(self, workers: int, perf_dir: str | None = None, preprice: bool = True) -> None:
+    def __init__(self, workers: int, perf_dir: str | None = None) -> None:
         self.workers = workers
         self.perf_dir = perf_dir
-        self.preprice = preprice
         self.restarts = 0
         self._lock = threading.Lock()
         self._broken: BaseException | None = None
@@ -463,18 +435,18 @@ class LocalPool:
 
     def submit(self, groups: tuple[tuple[RunTask, ...], ...]) -> Future:
         try:
-            inner = self._pool.submit(_execute_family, groups, self.preprice)
+            inner = self._pool.submit(_execute_family, groups)
         except BrokenExecutor as exc:  # died between batches
             with self._lock:
                 self._broken = exc
             self._heal()
-            inner = self._pool.submit(_execute_family, groups, self.preprice)
+            inner = self._pool.submit(_execute_family, groups)
         return self._relay(inner, self._pool)
 
     def probe(self, task: RunTask) -> Future:
         lane = self._new_pool(1)
         self._probes.append(lane)
-        return self._relay(lane.submit(_execute_family, ((task,),), self.preprice), lane)
+        return self._relay(lane.submit(_execute_family, ((task,),)), lane)
 
     def abort(self, future: Future) -> None:
         with self._lock:
@@ -715,10 +687,6 @@ class CampaignReport:
     #: on-disk cache tiers that degraded after resource exhaustion
     #: (``"run_cache: ..."`` / ``"perf_store: ..."`` reason strings)
     degraded: tuple[str, ...] = ()
-    #: CPU timings batch-priced into the memo ahead of dispatch
-    prepriced: int = 0
-    #: whether group pre-pricing was enabled for this run
-    preprice: bool = True
 
     @property
     def hit_rate(self) -> float:
@@ -737,10 +705,6 @@ class CampaignReport:
         ]
         if self.replayed:
             lines.append(f"  resumed: {self.replayed} cells replayed from the journal")
-        lines.append(
-            f"  preprice={'on' if self.preprice else 'off'}"
-            f" ({self.prepriced} timings seeded ahead of dispatch)"
-        )
         if self.crashed_runs or self.retries or self.pool_restarts or self.timeout_runs:
             lines.append(
                 f"  recovery: {len(self.crashed_runs)} crashed, "
@@ -823,13 +787,6 @@ class Campaign:
     the time source both budgets and the retry backoff read (tests use
     a fake to avoid wall-sleeping).
 
-    ``preprice`` (default on) batch-prices each version group's
-    Serial/OpenMP timings through the platform's batched pricing models
-    (``platform.pricing_model()``) before its cells dispatch, seeding
-    the ``cpu_timing`` memo in one vectorized pass.  The seeded rows are
-    bitwise what the per-cell path computes, so results are identical
-    with pre-pricing on or off.
-
     Usage::
 
         spec = CampaignSpec(scale=0.5)
@@ -857,7 +814,6 @@ class Campaign:
         cell_timeout_s: float | None = None,
         deadline_s: float | None = None,
         clock: Clock | None = None,
-        preprice: bool = True,
         workers: Sequence[str] | None = None,
     ) -> None:
         if retries < 0:
@@ -884,7 +840,6 @@ class Campaign:
         self.cell_timeout_s = cell_timeout_s
         self.deadline_s = deadline_s
         self.clock = clock or Clock()
-        self.preprice = preprice
         self.workers: tuple[str, ...] = tuple(workers) if workers else ()
         #: journal directory attached by :meth:`resume` (``run`` may
         #: also receive one directly via ``journal_dir=``)
@@ -898,7 +853,6 @@ class Campaign:
         self._replayed = 0
         self._retries = 0
         self._pool_restarts = 0
-        self._prepriced = 0
         self._degraded_traced: set[str] = set()
         self._dispatched: set[tuple] = set()
         self._remote_degraded_reason: str | None = None
@@ -979,7 +933,6 @@ class Campaign:
             "cache": str(self.cache.root) if self.cache else "off",
             "perf_cache": str(self.perf_dir) if self.perf_dir else "off",
             "retries": self.retries,
-            "preprice": self.preprice,
         }
         if journal is not None:
             detail["journal"] = str(journal.root)
@@ -1004,7 +957,6 @@ class Campaign:
         self._replayed = 0
         self._retries = 0
         self._pool_restarts = 0
-        self._prepriced = 0
         self._degraded_traced: set[str] = set()
         self._dispatched = set()
         self._remote_degraded_reason = None
@@ -1031,7 +983,6 @@ class Campaign:
                     "replayed": self.report.replayed,
                     "retries": self.report.retries,
                     "pool_restarts": self.report.pool_restarts,
-                    "prepriced": self.report.prepriced,
                     "wall_s": round(self.report.wall_s, 3),
                     "perf": self.report.perf,
                 },
@@ -1113,8 +1064,6 @@ class Campaign:
             timeout_runs=tuple(t.cell for t in completed if results[t.cell].timed_out),
             replayed=self._replayed,
             degraded=self._degraded_tiers(),
-            prepriced=self._prepriced,
-            preprice=self.preprice,
         )
 
     def _degraded_tiers(self) -> tuple[str, ...]:
@@ -1253,7 +1202,7 @@ class Campaign:
 
     def _local_executor(self, workers: int) -> LocalPool:
         perf_dir = str(self.perf_dir) if self.perf_dir is not None else None
-        return LocalPool(workers, perf_dir=perf_dir, preprice=self.preprice)
+        return LocalPool(workers, perf_dir=perf_dir)
 
     def _remote_executor(self) -> Executor:
         from .remote import RemoteWorkerPool
@@ -1262,7 +1211,6 @@ class Campaign:
             self.workers,
             task_fields=self._task_fields,
             clock=self.clock,
-            preprice=self.preprice,
             reconnect_attempts=self.retries,
             backoff=self._backoff_delay,
         )
@@ -1307,8 +1255,6 @@ class Campaign:
                 self._dispatch(task, tracer)
                 if index == 0:
                     bench, bench_exc = _create_bench(task)
-                    if bench is not None and self.preprice:
-                        self._prepriced += _preprice_group(bench, tuple(t for t, _ in group))
                 before = perf.counters()
                 if bench is not None:
                     run = self._guarded_run(bench, task)
@@ -1460,9 +1406,8 @@ class Campaign:
                 flight.lane.abort(future)
 
     def _harvest(self, chunk, value: tuple, tracer: Tracer, results: dict) -> None:
-        group_runs, family_delta, prepriced = value
+        group_runs, family_delta = value
         self._worker_deltas.append(family_delta)
-        self._prepriced += prepriced
         for group, runs in zip(chunk, group_runs):
             for (task, key), (run, delta) in zip(group, runs):
                 self._finish(task, key, run, results, tracer, perf_delta=delta)

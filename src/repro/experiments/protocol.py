@@ -60,8 +60,9 @@ from ..errors import ReproError
 from . import faults
 
 #: bump when the frame layout or message vocabulary changes (2: JSON
-#: frames only, tasks and rows through the closed-type codec)
-PROTOCOL_VERSION = 2
+#: frames only, tasks and rows through the closed-type codec; 3: chunk
+#: and result messages drop the CPU pre-pricing fields)
+PROTOCOL_VERSION = 3
 
 #: frame header: kind byte, payload length, payload CRC32
 _HEADER = struct.Struct("!cII")
@@ -384,13 +385,12 @@ def decode_run(data: dict) -> tuple:
 
 
 def encode_family(value: tuple) -> dict:
-    """A chunk's ``(group_runs, family_delta, prepriced)`` result as the
-    fields of a ``result`` message."""
-    group_runs, family_delta, prepriced = value
+    """A chunk's ``(group_runs, family_delta)`` result as the fields of
+    a ``result`` message."""
+    group_runs, family_delta = value
     return {
         "groups": [[encode_run(run, delta) for run, delta in runs] for runs in group_runs],
         "perf": family_delta,
-        "prepriced": prepriced,
     }
 
 
@@ -400,6 +400,6 @@ def decode_family(message: dict) -> tuple:
         group_runs = tuple(
             tuple(decode_run(entry) for entry in runs) for runs in message["groups"]
         )
-        return group_runs, dict(message["perf"]), int(message["prepriced"])
+        return group_runs, dict(message["perf"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FrameError(f"malformed result message: {exc!r}") from None

@@ -190,7 +190,7 @@ class WorkerServer:
 
         def _work() -> None:
             try:
-                box["value"] = _execute_family(groups, bool(message.get("preprice", True)))
+                box["value"] = _execute_family(groups)
             except BaseException as exc:  # noqa: BLE001 — shipped, not raised
                 box["error"] = f"{type(exc).__name__}: {exc}"
 
@@ -271,7 +271,6 @@ class RemoteWorkerPool:
         *,
         task_fields: Callable[[object], dict],
         clock=None,
-        preprice: bool = True,
         heartbeat_timeout_s: float = HEARTBEAT_TIMEOUT_S,
         connect_timeout_s: float = CONNECT_TIMEOUT_S,
         reconnect_attempts: int = 2,
@@ -281,7 +280,6 @@ class RemoteWorkerPool:
             raise ValueError("RemoteWorkerPool needs at least one worker address")
         self.task_fields = task_fields
         self.clock = clock or Clock()
-        self.preprice = preprice
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.connect_timeout_s = connect_timeout_s
         self.reconnect_attempts = reconnect_attempts
@@ -568,7 +566,6 @@ class _WorkerLink(threading.Thread):
                     "kind": "chunk",
                     "id": job.id,
                     "groups": encode_chunk(job.payload),
-                    "preprice": pool.preprice,
                 },
                 endpoint="coordinator",
             )

@@ -19,10 +19,10 @@ leaks past the overlap (threads cannot always cover both).
 :class:`GpuConfigStack` is the one implementation of these equations:
 it prices a fixed set of launch cells under k configs with a few
 ``(configs × cells)`` NumPy passes.  The Exynos board is the k = 1
-call — :class:`GpuPricingModel`, :class:`LaunchPricer` and
-:func:`time_launch` price their ``gpu_timing`` memo misses through
-:meth:`GpuConfigStack.timings`, which wraps the board's lanes into
-:class:`GpuLaunchTiming` records.  The naive scalar reference every
+call — :class:`LaunchPricer` (behind :class:`GpuPricingModel` and
+:func:`time_launch`) prices each ``gpu_timing`` memo miss as a one-cell
+stack through :meth:`GpuConfigStack.timings`, which wraps the board's
+lanes into :class:`GpuLaunchTiming` records.  The naive scalar reference every
 lane is tested against lives in ``tests/oracles.py``.
 """
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from .. import perf
 from ..compiler.pipeline import CompiledKernel
@@ -155,7 +154,7 @@ class _HashedKey:
 
     The ``gpu_timing`` memo keys embed deeply nested frozen dataclasses
     (compiled kernel, traits, configs); hashing them from scratch on
-    every table lookup dominates the batched cold path.  This wrapper is
+    every table lookup would dominate cold pricing.  This wrapper is
     transparent in equality and ``repr`` — keys assembled from wrapped
     parts occupy the same memo slots and produce the same persistent
     ``sha256(repr(key))`` digests as the historical raw tuples — but the
@@ -480,15 +479,10 @@ class LaunchPricer:
 
 
 class GpuPricingModel:
-    """Batched :class:`~repro.pricing.PricingModel` over GPU launch cells.
-
-    Holds one :class:`LaunchPricer` per kernel instance for the memo
-    keys.  The first memo miss of a ``price`` call prices every cell of
-    the call with one :class:`GpuConfigStack` on the model's config (its
-    k = 1 row), and each miss takes its own lane; a lane does not depend
-    on the other cells of the stack, so hits and misses agree bit for
-    bit.
-    """
+    """Launch pricing on one platform: one shared :class:`LaunchPricer`
+    per kernel instance, which holds the memo-key hashing (platform
+    parts hashed once per model, kernel and traits parts cached on
+    their objects)."""
 
     def __init__(self, config: MaliConfig, dram: DramModel, caches: CacheHierarchy):
         self.config = config
@@ -547,33 +541,8 @@ class GpuPricingModel:
             )
         return found
 
-    def price(self, cells) -> tuple[GpuLaunchTiming, ...]:
-        """Timings for each :class:`~repro.pricing.GpuLaunchCell`."""
-        cells = tuple(cells)
-        keys = []
-        for cell in cells:
-            pricer = self.pricer(cell.compiled, cell.traits, cell.concurrent_agents)
-            # reject bad cells before any memo traffic: an error raised
-            # inside the shared miss computation must never be memoized
-            # under another cell's key
-            _check_launch(cell.n_items, cell.local_size)
-            keys.append(pricer.key(cell.n_items, cell.local_size))
-        priced: list[GpuLaunchTiming] = []
-
-        def row(i: int) -> GpuLaunchTiming:
-            if not priced:
-                priced.extend(
-                    GpuConfigStack(cells, self.config, self.dram, self.caches).timings()
-                )
-            return priced[i]
-
-        memo = perf.cache("gpu_timing")
-        return tuple(
-            memo.get_or_compute(key, partial(row, i)) for i, key in enumerate(keys)
-        )
-
     def price_one(self, cell) -> GpuLaunchTiming:
-        """Single-cell convenience (same memo slots as the batch path)."""
+        """The memoized timing of one :class:`~repro.pricing.GpuLaunchCell`."""
         return self.pricer(cell.compiled, cell.traits, cell.concurrent_agents).price(
             cell.n_items, cell.local_size
         )

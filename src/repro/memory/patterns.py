@@ -60,6 +60,11 @@ def effective_bandwidth_fraction(
     if total <= 0.0:
         return 1.0
     denom = sum(b / eff.factor(p) for p, b in bytes_by_pattern.items() if b > 0.0)
+    if denom <= 0.0:
+        # every positive share underflowed to 0 when divided by its
+        # factor, so every such factor is above 1: the blend exceeds 1,
+        # which the caller clamps to 1.0 anyway
+        return 1.0
     return total / denom
 
 

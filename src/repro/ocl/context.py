@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from ..errors import CLInvalidValue
@@ -10,10 +11,15 @@ from .device import Device
 
 @dataclass
 class Context:
-    """Owns devices and the memory objects created against them."""
+    """Owns devices and tracks the memory objects created against them.
+
+    Buffers are held weakly: a buffer points at its context, so strong
+    references back would form a cycle that keeps every run's arrays
+    alive until a full garbage collection.
+    """
 
     devices: tuple[Device, ...]
-    _buffers: list = field(default_factory=list, repr=False)
+    _buffers: weakref.WeakSet = field(default_factory=weakref.WeakSet, repr=False)
 
     def __init__(self, devices: tuple[Device, ...] | list[Device] | Device):
         if isinstance(devices, Device):
@@ -22,7 +28,7 @@ class Context:
         if not devices:
             raise CLInvalidValue("a context needs at least one device")
         self.devices = devices
-        self._buffers = []
+        self._buffers = weakref.WeakSet()
 
     @property
     def device(self) -> Device:
@@ -30,7 +36,7 @@ class Context:
         return self.devices[0]
 
     def register_buffer(self, buffer) -> None:
-        self._buffers.append(buffer)
+        self._buffers.add(buffer)
 
     @property
     def allocated_bytes(self) -> int:

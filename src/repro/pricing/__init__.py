@@ -1,78 +1,37 @@
-"""Batched grid pricing: one protocol, four layer implementations.
+"""Pricing cells and the per-model pricing entry points.
 
-A planner describes its model-evaluation work as
-:mod:`~repro.pricing.cells` values, hands the list to a
-:class:`PricingModel`, and each layer answers with a small number of
-vectorized NumPy evaluations instead of a dict walk per cell.  The GPU
-and CPU timing layers price through their one timing kernel each —
-:class:`~repro.mali.timing.GpuConfigStack` and
-:class:`~repro.cpu.pricing.CpuConfigStack`, the board being their
-one-config row — and the single-cell entry points (``time_launch``,
-``time_serial``, ``time_openmp``, ``transfer_seconds``,
-``BoardPowerModel.trace``) are conveniences over the same code, with
-unchanged memo/persist cache keys.
+A *cell* (:mod:`~repro.pricing.cells`) is one model evaluation: one GPU
+launch, one CPU (Serial/OpenMP) iteration, or one activity sequence to
+turn into a power trace.  Each model prices a cell through one entry:
 
-The contract every implementation honors is **bitwise identity** with
-the naive scalar models: elementwise float64 products match the scalar
-``(count*n) * cost`` expressions, reductions accumulate sequentially in
-source dict order (never ``np.sum``), and guarded-out terms are added
-as exact ``0.0``.
+* :class:`~repro.mali.timing.GpuPricingModel` — ``pricer`` / ``price_one``
+  (memoized launch timings, the memo-key hashing hoisted per kernel);
+* :class:`~repro.cpu.pricing.CpuPricingModel` — ``price_one``, a
+  one-cell :class:`~repro.cpu.pricing.CpuConfigStack`;
+* :class:`~repro.power.model.PowerPricingModel` — ``price_one``, the
+  scalar :meth:`~repro.power.model.BoardPowerModel.trace`;
+* :class:`~repro.pricing.grid.PlatformPricing` — all three plus the
+  shared DRAM model and cache hierarchies of one platform
+  (``ExynosPlatform.pricing_model()``).
 
-Implementations:
-
-* :class:`~repro.mali.timing.GpuPricingModel` — launch timings;
-* :class:`~repro.cpu.pricing.CpuPricingModel` — Serial/OpenMP timings;
-* :class:`~repro.memory.dram.DramPricingModel` — transfer seconds;
-* :class:`~repro.power.model.PowerPricingModel` — power traces;
-* :class:`~repro.pricing.grid.PlatformPricing` — all four behind one
-  platform-level facade (``ExynosPlatform.pricing_model()``).
+Many cells at once (the design space's configs × cells) go straight to
+the timing kernels, :class:`~repro.mali.timing.GpuConfigStack` and
+:class:`~repro.cpu.pricing.CpuConfigStack`, whose board row is what
+``price_one`` returns.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
-from .cells import (
-    MODE_OPENMP,
-    MODE_SERIAL,
-    CpuCell,
-    GpuLaunchCell,
-    TraceCell,
-    TransferCell,
-)
+from .cells import MODE_OPENMP, MODE_SERIAL, CpuCell, GpuLaunchCell, TraceCell
 
 __all__ = [
     "CpuCell",
     "GpuLaunchCell",
     "MODE_OPENMP",
     "MODE_SERIAL",
-    "PricingModel",
     "TraceCell",
-    "TransferCell",
     "rows_by_key",
 ]
-
-
-@runtime_checkable
-class PricingModel(Protocol):
-    """Batched evaluation surface of one model layer.
-
-    ``price`` takes a whole planned sequence of cells and returns one
-    result row per cell, in order, computed with as few vectorized
-    passes as the layer can manage; ``price_one`` is the single-cell
-    convenience the scalar entry points shim through.  Rows are the
-    layer's existing result types (``GpuLaunchTiming``, ``CpuTiming``,
-    transfer seconds, ``PowerTrace``) — batched pricing changes how many
-    Python-level passes run, never what they return.
-    """
-
-    def price(self, cells) -> tuple:
-        """One result row per cell, in input order."""
-        ...  # pragma: no cover - protocol
-
-    def price_one(self, cell):
-        """The row a one-element ``price`` would return."""
-        ...  # pragma: no cover - protocol
 
 
 def rows_by_key(keys, table):

@@ -1,20 +1,18 @@
-"""Cell types of the batched pricing surface.
+"""Cell types of the pricing entry points.
 
-A *cell* is one unit of model-evaluation work a campaign plans: one GPU
-launch to time, one CPU (Serial/OpenMP) iteration to time, one DRAM byte
-mix to move, or one activity sequence to turn into a power trace.  Cells
-are plain frozen descriptions — no model state — so a planner can build
-thousands of them, hand the whole list to a
-:class:`~repro.pricing.PricingModel`, and get the rows back in order.
+A *cell* is one unit of model-evaluation work: one GPU launch to time,
+one CPU (Serial/OpenMP) iteration to time, or one activity sequence to
+turn into a power trace.  Cells are plain frozen descriptions — no
+model state — so a planner can build thousands of them and hand them
+to a model's ``price_one`` or, many at once, to a config-axis stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..compiler.pipeline import CompiledKernel
 from ..ir.analysis import InstructionMix
-from ..ir.nodes import AccessPattern
 from ..power.rails import Activity
 from ..workload import WorkloadTraits
 
@@ -46,20 +44,6 @@ class CpuCell:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_SERIAL, MODE_OPENMP):
             raise ValueError(f"unknown CPU pricing mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class TransferCell:
-    """One DRAM byte mix to move from one agent.
-
-    ``bytes_by_pattern`` iteration order is significant: the batched
-    model accumulates its columns in this order to stay bitwise-identical
-    to ``DramModel.transfer_seconds``.
-    """
-
-    agent: str
-    bytes_by_pattern: dict[AccessPattern, float] = field(compare=False)
-    concurrent_agents: int = 1
 
 
 @dataclass(frozen=True)

@@ -1,45 +1,29 @@
-"""Platform-level pricing facade, campaign seeding, model-only estimates.
+"""Platform-level pricing facade and model-only estimates.
 
-:class:`PlatformPricing` bundles the four layer
-:class:`~repro.pricing.PricingModel` implementations of one
-:class:`~repro.calibration.exynos5250.ExynosPlatform` behind a single
-object (reached via ``platform.pricing_model()``), dispatching
-heterogeneous cell lists to the right layer.  On top of it sit the grid
-helpers the campaign engine and the what-if studies use:
-
-* :func:`seed_cpu_timing` — batch-price a benchmark's pending CPU cells
-  and seed the ``cpu_timing`` memo under the exact keys
-  ``run_cpu_version`` will look up, so dispatch finds them warm;
-* :func:`estimate_cpu_seconds` / :func:`estimate_opt_seconds` —
-  model-only iteration times (no functional execution, no meter), the
-  cheap currency of SoC design-space exploration.
+:class:`PlatformPricing` holds the per-model pricing entries of one
+:class:`~repro.calibration.exynos5250.ExynosPlatform` (reached via
+``platform.pricing_model()``), built over one shared DRAM model and one
+cache hierarchy per side.  On top of it sit the model-only estimates
+the what-if studies use: :func:`estimate_cpu_seconds` /
+:func:`estimate_opt_seconds` — iteration times with no functional
+execution and no meter, the cheap currency of SoC design-space
+exploration.
 """
 
 from __future__ import annotations
 
-from .. import perf
 from ..cpu.pricing import CpuPricingModel
 from ..mali.timing import GpuPricingModel
-from ..memory.dram import DramPricingModel
 from ..power.model import PowerPricingModel
-from .cells import (
-    MODE_OPENMP,
-    MODE_SERIAL,
-    CpuCell,
-    GpuLaunchCell,
-    TraceCell,
-    TransferCell,
-)
+from .cells import MODE_SERIAL, CpuCell
 
 
 class PlatformPricing:
-    """All four batched pricing models of one platform, as one facade.
+    """The GPU, CPU and power pricing entries of one platform.
 
-    Shares one :class:`~repro.memory.dram.DramModel` and one cache
-    hierarchy per side across the layer models, and itself implements
-    the :class:`~repro.pricing.PricingModel` protocol over heterogeneous
-    cell lists by dispatching each cell to its layer and reassembling
-    rows in input order.
+    ``gpu``, ``cpu`` and ``power`` share one
+    :class:`~repro.memory.dram.DramModel` (``dram_model``) and one
+    cache hierarchy per side (``cpu_caches`` / ``gpu_caches``).
     """
 
     def __init__(self, platform) -> None:
@@ -50,81 +34,7 @@ class PlatformPricing:
         self.power_model = platform.power_model()
         self.gpu = GpuPricingModel(platform.mali, self.dram_model, self.gpu_caches)
         self.cpu = CpuPricingModel(platform.cpu, self.dram_model, self.cpu_caches)
-        self.dram = DramPricingModel(self.dram_model)
         self.power = PowerPricingModel(self.power_model)
-
-    def model_for(self, cell):
-        """The layer model that prices one cell type."""
-        if isinstance(cell, GpuLaunchCell):
-            return self.gpu
-        if isinstance(cell, CpuCell):
-            return self.cpu
-        if isinstance(cell, TransferCell):
-            return self.dram
-        if isinstance(cell, TraceCell):
-            return self.power
-        raise TypeError(f"not a pricing cell: {cell!r}")
-
-    def price(self, cells) -> tuple:
-        """One row per cell, each layer batched over its own cells."""
-        cells = tuple(cells)
-        buckets: dict[int, list[int]] = {}
-        models: dict[int, object] = {}
-        for i, cell in enumerate(cells):
-            model = self.model_for(cell)
-            mk = id(model)
-            models[mk] = model
-            buckets.setdefault(mk, []).append(i)
-        out: list = [None] * len(cells)
-        for mk, idxs in buckets.items():
-            rows = models[mk].price([cells[i] for i in idxs])
-            for j, i in enumerate(idxs):
-                out[i] = rows[j]
-        return tuple(out)
-
-    def price_one(self, cell):
-        """Single-cell convenience: dispatch and price."""
-        return self.model_for(cell).price_one(cell)
-
-
-# ---------------------------------------------------------------------------
-# campaign grid seeding
-# ---------------------------------------------------------------------------
-
-
-def seed_cpu_timing(bench, versions) -> int:
-    """Batch-price a benchmark's CPU cells into the ``cpu_timing`` memo.
-
-    The campaign engine calls this once per (benchmark, precision) group
-    before dispatching its pending cells: the group's Serial/OpenMP
-    timings are priced in one vectorized pass and seeded under the exact
-    content keys ``run_cpu_version`` builds, so each cell's own lookup
-    hits both tiers.  Values are bitwise what the per-cell path computes
-    (``time_serial``/``time_openmp`` price through the same kernel), so
-    results are identical with seeding on or off.  Returns the number of
-    cells seeded; a no-op when the fast lane is disabled.
-    """
-    from ..benchmarks.base import Version, cpu_pricing_inputs, cpu_pricing_key
-
-    modes = {Version.SERIAL: MODE_SERIAL, Version.OPENMP: MODE_OPENMP}
-    wanted: list = []
-    for version in versions:
-        if version in modes and version not in wanted:
-            wanted.append(version)
-    if not wanted or not perf.is_enabled():
-        return 0
-    pricing = bench.platform.pricing_model()
-    ir, mix, traits, n = cpu_pricing_inputs(bench)
-    cells = [
-        CpuCell(mix=mix, mode=modes[version], n_elements=n, traits=traits)
-        for version in wanted
-    ]
-    rows = pricing.cpu.price(cells)
-    memo = perf.cache("cpu_timing")
-    for version, row in zip(wanted, rows):
-        key = cpu_pricing_key(bench, ir, version, n, traits, pricing)
-        memo.get_or_compute(key, lambda row=row: row)
-    return len(wanted)
 
 
 # ---------------------------------------------------------------------------

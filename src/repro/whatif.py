@@ -127,7 +127,7 @@ def estimate_speedups(
 ) -> dict[str, float | None]:
     """Model-only Opt-over-Serial speedup per platform variant.
 
-    The batched counterpart of :func:`compare_platforms`: every number
+    The model-only counterpart of :func:`compare_platforms`: every number
     comes from ``platform.pricing_model()`` — tuner pricing for the Opt
     candidate, the CPU pricer for the Serial baseline — with no
     functional NumPy execution and no meter.  ``None`` marks a variant
@@ -136,7 +136,7 @@ def estimate_speedups(
     :func:`compare_platforms`.
 
     Thin wrapper over :func:`repro.designspace.opt_over_serial`, the one
-    batched-pricing path shared with the sensitivity probes.
+    model-only path shared with the sensitivity probes.
     """
     from .designspace import opt_over_serial
 

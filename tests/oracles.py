@@ -36,7 +36,6 @@ from repro.mali.occupancy import derive_occupancy
 from repro.mali.timing import GpuLaunchTiming
 from repro.pareto import _is_feasible, point_key, strictly_dominates
 from repro.power.rails import Activity, ActivityKind
-from repro.pricing.cells import TraceCell
 
 
 # ---------------------------------------------------------------------------
@@ -429,82 +428,68 @@ def facade_rows(space, config) -> SpaceRows:
     The per-config plumbing reference for ``DesignSpace.rows``: the
     config's derived platform (``SoCConfig.platform()``) and its
     :class:`~repro.pricing.grid.PlatformPricing`, cells pre-filtered by
-    the same register-file predicate the stack uses, power through the
-    facade's batched trace pricing.  Returns a single ``(1, cells)``
-    row.
+    the same register-file predicate the stack uses, each cell priced
+    through its model's ``price_one`` and its power through the scalar
+    ``BoardPowerModel.trace``.  Returns a single ``(1, cells)`` row.
     """
     import numpy as np
 
     platform = config.platform(space.base)
     pricing = platform.pricing_model()
+    board = pricing.power_model
     rf_scale = platform.mali.register_file_scale
 
-    cpu_rows = pricing.cpu.price(space.cpu_cells)
+    cpu_rows = [pricing.cpu.price_one(cell) for cell in space.cpu_cells]
     feasible = [
         fits_register_file(cell.compiled.registers, rf_scale)
         for cell in space.gpu_cells
     ]
-    idx = [i for i, ok in enumerate(feasible) if ok]
-    timings = pricing.gpu.price([space.gpu_cells[i] for i in idx])
-
-    trace_cells = []
-    for i, t in zip(idx, timings):
-        duration = t.seconds * space.gpu_cells[i].traits.launches
-        trace_cells.append(
-            TraceCell(
-                (
-                    Activity(
-                        kind=ActivityKind.GPU_KERNEL,
-                        duration_s=duration,
-                        gpu_alu_utilization=t.alu_utilization,
-                        gpu_ls_utilization=t.ls_utilization,
-                        dram_bandwidth=t.dram_bandwidth,
-                    ),
-                )
-            )
-        )
-    for r in cpu_rows:
-        trace_cells.append(
-            TraceCell(
-                (
-                    Activity(
-                        kind=ActivityKind.CPU,
-                        duration_s=r.seconds,
-                        active_cpu_cores=r.active_cores,
-                        cpu_ipc=r.ipc,
-                        dram_bandwidth=r.dram_bandwidth,
-                    ),
-                )
-            )
-        )
-    traces = pricing.power.price(trace_cells)
-
     width = len(space.gpu_cells)
-    gpu_feasible = np.asarray(feasible, dtype=bool)
     gpu_seconds = np.full(width, np.inf)
     gpu_iter = np.full(width, np.inf)
     gpu_watts = np.zeros(width)
     gpu_energy = np.full(width, np.inf)
-    for k, (i, t) in enumerate(zip(idx, timings)):
-        trace = traces[k]
+    for i, cell in enumerate(space.gpu_cells):
+        if not feasible[i]:
+            continue
+        t = pricing.gpu.price_one(cell)
+        duration = t.seconds * cell.traits.launches
+        trace = board.trace(
+            [
+                Activity(
+                    kind=ActivityKind.GPU_KERNEL,
+                    duration_s=duration,
+                    gpu_alu_utilization=t.alu_utilization,
+                    gpu_ls_utilization=t.ls_utilization,
+                    dram_bandwidth=t.dram_bandwidth,
+                )
+            ]
+        )
         gpu_seconds[i] = t.seconds
-        gpu_iter[i] = t.seconds * space.gpu_cells[i].traits.launches
+        gpu_iter[i] = duration
         gpu_watts[i] = trace.segments[0].watts
         gpu_energy[i] = trace.energy_j
-    cpu_seconds = np.asarray([r.seconds for r in cpu_rows])
-    cpu_watts = np.asarray(
-        [traces[len(idx) + j].segments[0].watts for j in range(len(cpu_rows))]
-    )
-    cpu_energy = np.asarray(
-        [traces[len(idx) + j].energy_j for j in range(len(cpu_rows))]
-    )
+    cpu_traces = [
+        board.trace(
+            [
+                Activity(
+                    kind=ActivityKind.CPU,
+                    duration_s=r.seconds,
+                    active_cpu_cores=r.active_cores,
+                    cpu_ipc=r.ipc,
+                    dram_bandwidth=r.dram_bandwidth,
+                )
+            ]
+        )
+        for r in cpu_rows
+    ]
     return SpaceRows(
-        gpu_feasible=gpu_feasible[None, :],
+        gpu_feasible=np.asarray(feasible, dtype=bool)[None, :],
         gpu_seconds=gpu_seconds[None, :],
         gpu_iter_seconds=gpu_iter[None, :],
         gpu_watts=gpu_watts[None, :],
         gpu_energy=gpu_energy[None, :],
-        cpu_seconds=cpu_seconds[None, :],
-        cpu_watts=cpu_watts[None, :],
-        cpu_energy=cpu_energy[None, :],
+        cpu_seconds=np.asarray([r.seconds for r in cpu_rows])[None, :],
+        cpu_watts=np.asarray([t.segments[0].watts for t in cpu_traces])[None, :],
+        cpu_energy=np.asarray([t.energy_j for t in cpu_traces])[None, :],
     )

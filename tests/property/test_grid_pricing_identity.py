@@ -1,9 +1,8 @@
-"""Campaign-level identity: batched pricing never changes a result byte.
+"""Campaign-level identity: the timing kernels never change a result byte.
 
-The tentpole guarantee of the batched cold path is that an entire
-campaign — full SP+DP grid, every version, tuner options included —
-serializes to exactly the same ``ResultSet.to_json()`` bytes whether
-cells are priced through the vectorized ``repro.pricing`` models or
+An entire campaign — full SP+DP grid, every version, tuner options
+included — serializes to exactly the same ``ResultSet.to_json()`` bytes
+whether cells are priced through the vectorized config stacks or
 through the scalar reference implementations cell by cell, and whether
 the engine runs in-process or on a worker pool.
 
@@ -44,10 +43,6 @@ def _scalar_price_one(self, cell):
     return fn(cell.mix, cell.n_elements, cell.traits, self.config, self.dram, self.caches)
 
 
-def _scalar_price(self, cells):
-    return tuple(_scalar_price_one(self, cell) for cell in cells)
-
-
 def _scalar_launch(self, n_items, local_size):
     return _time_launch_uncached(
         self.compiled, n_items, local_size, self.traits, self.config, self.dram,
@@ -60,7 +55,6 @@ def scalar_pricing():
     """Every model evaluation through the scalar references, no caches."""
     with perf.disabled():
         with mock.patch.object(CpuPricingModel, "price_one", _scalar_price_one), \
-                mock.patch.object(CpuPricingModel, "price", _scalar_price), \
                 mock.patch.object(LaunchPricer, "price", _scalar_launch):
             yield
 
@@ -78,7 +72,7 @@ def _grid_json(*, benchmarks=PAPER_ORDER, versions=tuple(Version),
     if scalar:
         with scalar_pricing():
             rs = run_grid(benchmarks, versions=versions, precisions=precisions,
-                          scale=scale, jobs=jobs, preprice=False)
+                          scale=scale, jobs=jobs)
     else:
         rs = run_grid(benchmarks, versions=versions, precisions=precisions,
                       scale=scale, jobs=jobs)
@@ -93,16 +87,6 @@ def test_full_grid_byte_identity_scalar_vs_batched():
     assert batched_inline == scalar
     batched_pool = _grid_json(jobs=4)
     assert batched_pool == scalar
-
-
-def test_preprice_off_is_still_identical():
-    perf.reset()
-    on = run_grid(("vecop", "hist"), precisions=BOTH_PRECISIONS, scale=0.1).to_json()
-    perf.reset()
-    off = run_grid(
-        ("vecop", "hist"), precisions=BOTH_PRECISIONS, scale=0.1, preprice=False
-    ).to_json()
-    assert on == off
 
 
 @given(

@@ -1,24 +1,30 @@
-"""Batched pricing is bitwise-identical to the scalar models, per layer.
+"""The timing kernels are bitwise-identical to the scalar oracles.
 
-The ``repro.pricing`` contract is not "close": every row a batched
-``price()`` returns must equal, bit for bit, what the scalar reference
-computes for that cell — including the DP register-exhaustion occupancy
-collapse and the sequential-reduction accumulation order.  These tests
-compare full result dataclasses with ``==`` (no ``approx``) across the
-CPU, GPU, DRAM and power layers, with hypothesis driving randomized
-byte mixes, activity sequences and SoC configs.  The references are the
-naive scalar oracles in ``tests/oracles.py``; the properties are sized
-with :func:`tests.conftest.examples`, so ``--hypothesis-profile=heavy``
-runs them at the heavy count.
+The pricing contract is not "close": every record a config stack
+(:class:`~repro.mali.timing.GpuConfigStack`,
+:class:`~repro.cpu.pricing.CpuConfigStack`) or a ``price_one`` entry
+returns must equal, bit for bit, what the naive scalar oracle in
+``tests/oracles.py`` computes for that cell — including the DP
+register-exhaustion occupancy collapse and the sequential-reduction
+accumulation order.  These tests compare full result dataclasses with
+``==`` (no ``approx``); hypothesis drives randomized SoC configs, byte
+mixes and activity sequences.  The DRAM property checks the scalar
+``transfer_seconds`` on its own, and the power property holds the
+vectorized :func:`~repro.power.rails.stack_watts` to
+``BoardPowerModel.trace``.  The properties are sized with
+:func:`tests.conftest.examples`, so ``--hypothesis-profile=heavy`` runs
+them at the heavy count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import perf
@@ -33,15 +39,9 @@ from repro.errors import CLOutOfResources
 from repro.ir.nodes import AccessPattern
 from repro.mali.timing import GpuConfigStack
 from repro.ocl.driver import default_quirks
-from repro.power.rails import Activity, ActivityKind
-from repro.pricing import (
-    MODE_OPENMP,
-    MODE_SERIAL,
-    CpuCell,
-    GpuLaunchCell,
-    TraceCell,
-    TransferCell,
-)
+from repro.power.model import PowerTrace, TraceSegment
+from repro.power.rails import Activity, ActivityKind, stack_watts
+from repro.pricing import MODE_OPENMP, MODE_SERIAL, CpuCell, GpuLaunchCell, TraceCell
 from tests.conftest import examples
 from tests.oracles import (
     _time_launch_uncached,
@@ -79,7 +79,7 @@ def test_cpu_batched_equals_scalar(name, precision):
     pricing = platform.pricing_model()
     bench = create(name, precision=precision, scale=0.1, platform=platform)
     _, mix, traits, n = cpu_pricing_inputs(bench)
-    # several element counts priced in one batched call, compared
+    # several element counts priced in one board stack, compared
     # cell-by-cell against the scalar reference
     ns = (n, max(1, n // 3), 2 * n + 1)
     for mode, scalar in (
@@ -89,7 +89,9 @@ def test_cpu_batched_equals_scalar(name, precision):
         cells = [
             CpuCell(mix=mix, mode=mode, n_elements=k, traits=traits) for k in ns
         ]
-        rows = pricing.cpu.price(cells)
+        rows = CpuConfigStack(
+            cells, platform.cpu, pricing.dram_model, pricing.cpu_caches
+        ).timings()
         for k, row in zip(ns, rows):
             expected = scalar(
                 mix, k, traits, platform.cpu, pricing.dram_model, pricing.cpu_caches
@@ -150,7 +152,9 @@ def test_gpu_batched_equals_scalar(name, precision):
     bench = create(name, precision=precision, scale=0.1, platform=platform)
     cells = _gpu_cells(bench, pricing)
     assert cells, "no compilable GPU probe points"
-    rows = pricing.gpu.price(cells)
+    rows = GpuConfigStack(
+        cells, platform.mali, pricing.dram_model, pricing.gpu_caches
+    ).timings()
     for cell, row in zip(cells, rows):
         expected = _time_launch_uncached(
             cell.compiled,
@@ -291,7 +295,7 @@ def test_non_board_configs_match_oracle(config, data):
         )
         for cell in cpu_cells
     )
-    assert pricing.cpu.price(cpu_cells) == expected
+    assert tuple(pricing.cpu.price_one(cell) for cell in cpu_cells) == expected
     rows = CpuConfigStack(
         cpu_cells, base.cpu, base.dram_model(), base.cpu_caches()
     ).rows(cores=[config.cpu_cores], clock_hz=[config.cpu_clock_hz], drams=[dram])
@@ -311,27 +315,31 @@ _patterns = st.permutations(list(AccessPattern)).flatmap(
 )
 
 
+#: the byte mix that once crashed ``transfer_seconds``: 5e-324 / 4.0
+#: underflows to 0, so the blend's denominator is 0
+_UNDERFLOW_MIX = {
+    p: (5e-324 if p is AccessPattern.BROADCAST else 0.0) for p in AccessPattern
+}
+
+
 @given(
-    mixes=st.lists(_patterns, min_size=1, max_size=6),
+    mix=_patterns,
     agent=st.sampled_from(["cpu1", "cpu2", "gpu"]),
     agents=st.integers(min_value=1, max_value=3),
 )
-@settings(max_examples=examples(40), deadline=None)
-def test_dram_batched_equals_scalar(mixes, agent, agents):
-    platform = default_platform()
-    dram = platform.dram_model()
-    from repro.memory.dram import DramPricingModel
-
-    model = DramPricingModel(dram)
-    cells = [
-        TransferCell(agent=agent, bytes_by_pattern=mix, concurrent_agents=agents)
-        for mix in mixes
-    ]
-    rows = model.price(cells)
-    for mix, row in zip(mixes, rows):
-        assert row == dram.transfer_seconds(
-            agent, bytes_by_pattern=mix, concurrent_agents=agents
-        )
+@example(mix=_UNDERFLOW_MIX, agent="gpu", agents=1)
+@settings(max_examples=examples(200), deadline=None)
+def test_dram_transfer_seconds_is_finite(mix, agent, agents):
+    """Finite and >= 0; 0 for an empty mix and at least ``total / peak``
+    otherwise (so positive unless that quotient underflows)."""
+    dram = default_platform().dram_model()
+    seconds = dram.transfer_seconds(agent, bytes_by_pattern=mix, concurrent_agents=agents)
+    total = sum(mix.values())
+    assert math.isfinite(seconds) and seconds >= 0.0
+    if total <= 0.0:
+        assert seconds == 0.0
+    else:
+        assert seconds >= total / dram.config.peak_bandwidth
 
 
 # ---------------------------------------------------------------------------
@@ -353,27 +361,48 @@ _activity = st.builds(
 @given(traces=st.lists(st.lists(_activity, min_size=1, max_size=5), min_size=1, max_size=4))
 @settings(max_examples=examples(40), deadline=None)
 def test_power_batched_equals_scalar(traces):
-    platform = default_platform()
-    board = platform.power_model()
-    from repro.power.model import PowerPricingModel
+    """:func:`stack_watts` over every activity of one kind at once gives
+    each trace ``BoardPowerModel.trace`` builds, bit for bit."""
+    board = default_platform().power_model()
+    acts = [a for trace in traces for a in trace]
+    watts = [None] * len(acts)
+    for kind in ActivityKind:
+        idx = [i for i, a in enumerate(acts) if a.kind == kind]
+        if not idx:
+            continue
 
-    model = PowerPricingModel(board)
-    cells = [TraceCell(activities=tuple(acts)) for acts in traces]
-    rows = model.price(cells)
-    for acts, row in zip(traces, rows):
-        assert row == board.trace(list(acts))  # full PowerTrace, bitwise
+        def column(field, idx=idx):
+            return np.asarray([float(getattr(acts[i], field)) for i in idx])
+
+        lanes = stack_watts(
+            board.rails,
+            kind,
+            dram_bandwidth=column("dram_bandwidth"),
+            active_cpu_cores=column("active_cpu_cores"),
+            cpu_ipc=column("cpu_ipc"),
+            gpu_alu_utilization=column("gpu_alu_utilization"),
+            gpu_ls_utilization=column("gpu_ls_utilization"),
+        )
+        for i, w in zip(idx, lanes.tolist()):
+            watts[i] = w
+    start = 0
+    for trace in traces:
+        segments = tuple(
+            TraceSegment(duration_s=a.duration_s, watts=watts[start + k])
+            for k, a in enumerate(trace)
+            if a.duration_s > 0.0
+        )
+        start += len(trace)
+        assert PowerTrace(segments) == board.trace(list(trace))  # full trace, bitwise
 
 
 def test_power_rejects_all_zero_durations():
-    platform = default_platform()
-    from repro.power.model import PowerPricingModel
-
-    model = PowerPricingModel(platform.power_model())
-    cell = TraceCell(activities=(Activity(kind=ActivityKind.IDLE, duration_s=0.0),))
+    pricing = default_platform().pricing_model()
+    activities = (Activity(kind=ActivityKind.IDLE, duration_s=0.0),)
     with pytest.raises(ValueError):
-        model.price([cell])
+        pricing.power_model.trace(list(activities))
     with pytest.raises(ValueError):
-        model.price_one(cell)
+        pricing.power.price_one(TraceCell(activities=activities))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +437,9 @@ def test_dp_register_collapse_survives_in_rows():
             if c.compiled.options.vector_width > 1 and c.local_size == 128
         ]
         if cells:
-            rows[precision] = pricing.gpu.price(cells)
+            rows[precision] = GpuConfigStack(
+                cells, platform.mali, pricing.dram_model, pricing.gpu_caches
+            ).timings()
     for precision, priced in rows.items():
         for row in priced:
             assert dataclasses.asdict(row)  # rows are real dataclasses

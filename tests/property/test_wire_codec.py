@@ -9,7 +9,8 @@ Remote campaigns ship tasks and results as JSON only
 * a :class:`RunResult` decodes to the same ``run_to_row`` row the
   journal and run cache persist, for NaN-measurement failures, crash
   rows (whose traceback reaches the ``run_crashed`` trace detail),
-  timeout rows and governed rows.
+  timeout rows and governed rows — alone and inside a chunk's
+  ``(group_runs, family_delta)`` result.
 
 Every value passes through ``json.dumps``/``json.loads`` as it would on
 the wire.
@@ -31,8 +32,10 @@ from repro.calibration.exynos5250 import default_platform
 from repro.experiments import Campaign, CampaignSpec, ListTraceSink, RunTask
 from repro.experiments.protocol import (
     FrameError,
+    decode_family,
     decode_run,
     decode_task,
+    encode_family,
     encode_run,
     encode_task,
 )
@@ -205,6 +208,19 @@ def test_run_roundtrip_keeps_the_row(run, delta):
     assert decoded.diagnostics.get("traceback") == run.diagnostics.get("traceback")
     if not run.ok and run.failure_kind is None:
         assert math.isnan(decoded.elapsed_s) and math.isnan(decoded.energy_j)
+
+
+@settings(max_examples=examples(50), deadline=None)
+@given(st.lists(st.lists(st.tuples(runs(), perf_deltas), max_size=3), max_size=3), perf_deltas)
+def test_family_roundtrip_keeps_every_row(groups, family_delta):
+    value = (tuple(tuple(group) for group in groups), family_delta)
+    message = _wire(encode_family(value))
+    assert set(message) == {"groups", "perf"}
+    group_runs, decoded_delta = decode_family(message)
+    assert decoded_delta == family_delta
+    assert [[(run_to_row(run), delta) for run, delta in runs] for runs in group_runs] == [
+        [(run_to_row(run), delta) for run, delta in group] for group in groups
+    ]
 
 
 def test_crash_traceback_reaches_the_trace():

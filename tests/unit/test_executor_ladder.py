@@ -105,7 +105,7 @@ def _lost(reason: str) -> Future:
 
 def _done(groups) -> Future:
     future = _running()
-    future.set_result(_execute_family(tuple(groups), True))
+    future.set_result(_execute_family(tuple(groups)))
     return future
 
 

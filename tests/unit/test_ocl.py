@@ -1,8 +1,14 @@
 """Unit tests for the mini-OpenCL runtime."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro import perf
+from repro.benchmarks.base import Version, run_version
+from repro.benchmarks.registry import create
 from repro.compiler import CompileOptions
 from repro.errors import (
     CLBuildProgramFailure,
@@ -133,8 +139,36 @@ class TestBuffers:
             queue.enqueue_write_buffer(buf, np.zeros(8, dtype=np.float32))
 
     def test_context_tracks_allocations(self, ctx):
-        Buffer(ctx, MemFlag.READ_WRITE, shape=256, dtype=np.float32)
+        # the context holds buffers weakly: keep this one alive by name
+        buf = Buffer(ctx, MemFlag.READ_WRITE, shape=256, dtype=np.float32)
         assert ctx.allocated_bytes == 1024
+        del buf
+        assert ctx.allocated_bytes == 0
+
+    def test_no_buffer_outlives_its_run(self, monkeypatch):
+        """With the collector off, every buffer of a GPU run is freed by
+        reference counting alone: no ``Buffer`` <-> ``Context`` cycle
+        keeps a run's arrays alive until a full collection."""
+        created = []
+        init = Buffer.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append(weakref.ref(self))
+
+        monkeypatch.setattr(Buffer, "__init__", tracked_init)
+        perf.reset()
+        bench = create("vecop", scale=0.2)
+        gc.disable()
+        try:
+            for version in (Version.OPENCL, Version.OPENCL_OPT):
+                assert run_version(bench, version=version).ok
+            alive = [ref for ref in created if ref() is not None]
+        finally:
+            gc.enable()
+            perf.reset()
+        assert created
+        assert not alive, f"{len(alive)} of {len(created)} buffers outlived their run"
 
 
 class TestTransferCosts:

@@ -1,9 +1,8 @@
 """Unit surface of the ``repro.pricing`` redesign.
 
-Covers the ``PricingModel`` protocol conformance of every layer, the
-``PlatformPricing`` facade dispatch, the ``PerfConfig`` consolidation of
-``perf.configure``, the keyword-only signatures, campaign pre-pricing,
-and the model-only estimate helpers the what-if studies use.
+Covers the ``PlatformPricing`` facade accessor, the ``PerfConfig``
+consolidation of ``perf.configure``, the keyword-only signatures, and
+the model-only estimate helpers the what-if studies use.
 """
 
 from __future__ import annotations
@@ -13,31 +12,16 @@ import inspect
 import pytest
 
 from repro import perf, whatif
-from repro.benchmarks.base import (
-    Precision,
-    Version,
-    cpu_pricing_inputs,
-    run_version,
-)
+from repro.benchmarks.base import Version, run_version
 from repro.benchmarks.registry import create
 from repro.calibration.exynos5250 import default_platform
 from repro.calibration.sensitivity import probe_speedups
 from repro.ir.analysis import OpKind
 from repro.ir.nodes import AccessPattern
-from repro.power.rails import Activity, ActivityKind
-from repro.pricing import (
-    MODE_OPENMP,
-    MODE_SERIAL,
-    CpuCell,
-    PricingModel,
-    TraceCell,
-    TransferCell,
-)
 from repro.pricing.grid import (
     PlatformPricing,
     estimate_cpu_seconds,
     estimate_opt_seconds,
-    seed_cpu_timing,
 )
 
 
@@ -53,42 +37,16 @@ def _fresh_perf():
 
 
 # ---------------------------------------------------------------------------
-# protocol + facade
+# facade
 # ---------------------------------------------------------------------------
 
 
 class TestPricingProtocol:
-    def test_every_layer_implements_the_protocol(self):
-        pricing = default_platform().pricing_model()
-        for model in (pricing.gpu, pricing.cpu, pricing.dram, pricing.power, pricing):
-            assert isinstance(model, PricingModel)
-
     def test_platform_accessor_returns_fresh_facade(self):
         platform = default_platform()
         pricing = platform.pricing_model()
         assert isinstance(pricing, PlatformPricing)
         assert pricing.platform is platform
-
-    def test_facade_dispatches_heterogeneous_cells_in_order(self):
-        platform = default_platform()
-        pricing = platform.pricing_model()
-        bench = create("vecop", scale=0.1, platform=platform)
-        _, mix, traits, n = cpu_pricing_inputs(bench)
-        cells = [
-            TransferCell(agent="gpu", bytes_by_pattern={AccessPattern.UNIT: 1e6}),
-            CpuCell(mix=mix, mode=MODE_SERIAL, n_elements=n, traits=traits),
-            TraceCell(activities=(Activity(kind=ActivityKind.IDLE, duration_s=1.0),)),
-            CpuCell(mix=mix, mode=MODE_OPENMP, n_elements=n, traits=traits),
-        ]
-        rows = pricing.price(cells)
-        assert len(rows) == 4
-        for cell, row in zip(cells, rows):
-            assert row == pricing.price_one(cell)
-
-    def test_facade_rejects_non_cells(self):
-        pricing = default_platform().pricing_model()
-        with pytest.raises(TypeError):
-            pricing.price(["not a cell"])
 
 
 # ---------------------------------------------------------------------------
@@ -154,36 +112,6 @@ class TestKeywordOnlySignatures:
         params = list(inspect.signature(getattr(DramModel, func)).parameters.values())
         for param in params[n_positional:]:
             assert param.kind is param.KEYWORD_ONLY
-
-
-# ---------------------------------------------------------------------------
-# campaign pre-pricing
-# ---------------------------------------------------------------------------
-
-
-class TestSeedCpuTiming:
-    def test_seeds_one_row_per_cpu_version(self):
-        bench = create("vecop", scale=0.1)
-        assert seed_cpu_timing(bench, list(Version)) == 2
-        # seeding twice is idempotent on the memo
-        assert seed_cpu_timing(bench, list(Version)) == 2
-
-    def test_gpu_only_groups_seed_nothing(self):
-        bench = create("vecop", scale=0.1)
-        assert seed_cpu_timing(bench, [Version.OPENCL, Version.OPENCL_OPT]) == 0
-
-    def test_noop_when_perf_disabled(self):
-        bench = create("vecop", scale=0.1)
-        with perf.disabled():
-            assert seed_cpu_timing(bench, list(Version)) == 0
-
-    def test_dispatch_hits_the_seeded_key(self):
-        bench = create("hist", scale=0.1)
-        seed_cpu_timing(bench, [Version.SERIAL, Version.OPENMP])
-        misses_before = perf.counters()["cpu_timing"]["misses"]
-        run_version(bench, version=Version.SERIAL)
-        run_version(bench, version=Version.OPENMP)
-        assert perf.counters()["cpu_timing"]["misses"] == misses_before
 
 
 # ---------------------------------------------------------------------------

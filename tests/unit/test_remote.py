@@ -203,6 +203,11 @@ class TestHandshake:
         theirs = Handshake(PROTOCOL_VERSION + 1, ours.namespace, ours.version)
         assert "protocol" in ours.reject_reason(theirs)
 
+    def test_v2_peer_refused(self):
+        ours = Handshake.local()
+        theirs = Handshake(2, ours.namespace, ours.version)
+        assert "protocol" in ours.reject_reason(theirs)
+
     def test_namespace_mismatch_named(self):
         ours = Handshake.local()
         theirs = Handshake(ours.protocol, "v0-0.0.0", ours.version)
