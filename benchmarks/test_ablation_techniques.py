@@ -14,7 +14,7 @@ SCALE = 0.5
 
 
 def estimate(bench, options, local=128):
-    return bench.estimate_iteration_seconds(options, local)
+    return bench.iteration_pricer(options)(local)
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,7 @@ def sweep_widths(bench, local=128, unroll=1):
     for width in WIDTHS:
         options = CompileOptions(vector_width=width, unroll=unroll, qualifiers=True)
         try:
-            times[width] = bench.estimate_iteration_seconds(options, local)
+            times[width] = bench.iteration_pricer(options)(local)
         except (CompilerError, CLError):
             times[width] = None  # infeasible (register file)
     return times

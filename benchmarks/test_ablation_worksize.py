@@ -26,10 +26,10 @@ def test_manual_local_size_beats_driver_pick(benchmark):
         n_items = bench.elements()
         driver_pick = driver_local_size(n_items, 256)
         times = {
-            local: bench.estimate_iteration_seconds(opts, local)
+            local: bench.iteration_pricer(opts)(local)
             for local in candidate_local_sizes(default_platform().mali)
         }
-        times["driver"] = bench.estimate_iteration_seconds(opts, driver_pick)
+        times["driver"] = bench.iteration_pricer(opts)(driver_pick)
         return times, driver_pick
 
     times, driver_pick = benchmark.pedantic(ablate, rounds=1, iterations=1)
@@ -50,7 +50,7 @@ def test_local_size_choice_matters(benchmark):
 
     def ablate():
         return {
-            local: bench.estimate_iteration_seconds(opts, local)
+            local: bench.iteration_pricer(opts)(local)
             for local in (32, 64, 128, 256)
         }
 

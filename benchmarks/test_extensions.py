@@ -31,10 +31,10 @@ def test_native_math_ablation(benchmark, name):
     bench = create(name, scale=SCALE)
 
     def ablate():
-        ieee = bench.estimate_iteration_seconds(CompileOptions(qualifiers=True), 128)
-        native = bench.estimate_iteration_seconds(
-            CompileOptions(qualifiers=True, native_math=True), 128
-        )
+        ieee = bench.iteration_pricer(CompileOptions(qualifiers=True))(128)
+        native = bench.iteration_pricer(
+            CompileOptions(qualifiers=True, native_math=True)
+        )(128)
         return ieee / native
 
     gain = benchmark.pedantic(ablate, rounds=1, iterations=1)
@@ -46,10 +46,10 @@ def test_native_math_useless_for_streaming(benchmark):
     bench = create("vecop", scale=SCALE)
 
     def ablate():
-        base = bench.estimate_iteration_seconds(CompileOptions(vector_width=4), 128)
-        native = bench.estimate_iteration_seconds(
-            CompileOptions(vector_width=4, native_math=True), 128
-        )
+        base = bench.iteration_pricer(CompileOptions(vector_width=4))(128)
+        native = bench.iteration_pricer(
+            CompileOptions(vector_width=4, native_math=True)
+        )(128)
         return base / native
 
     gain = benchmark.pedantic(ablate, rounds=1, iterations=1)

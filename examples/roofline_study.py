@@ -34,14 +34,13 @@ def main() -> None:
     rows = []
     for name in PAPER_ORDER:
         bench = create(name, scale=SCALE)
-        ir = bench.kernel_ir(NAIVE)
+        main = bench.main_launch(NAIVE)
+        ir, traits = main.spec.ir, main.spec.traits
+        n_items = main.work_items(ir.elems_per_item)
         raw = operational_intensity(analyze(ir))
-        cached = dram_intensity(
-            ir, bench.gpu_traits(NAIVE), bench.platform.gpu_caches(), bench.gpu_work_items()
-        )
+        cached = dram_intensity(ir, traits, bench.platform.gpu_caches(), n_items)
         placements.append(
-            place(ir, gpu, traits=bench.gpu_traits(NAIVE),
-                  caches=bench.platform.gpu_caches(), n_items=bench.gpu_work_items())
+            place(ir, gpu, traits=traits, caches=bench.platform.gpu_caches(), n_items=n_items)
         )
         ceiling = speedup_ceiling(ir, gpu, cpu)
         serial = run_cpu_version(bench, Version.SERIAL)

@@ -221,14 +221,14 @@ def cmd_roofline(args) -> int:
     placements = []
     for name in PAPER_ORDER:
         bench = create(name, precision=_precision(args), scale=args.scale)
-        ir = bench.kernel_ir(NAIVE)
+        main = bench.main_launch(NAIVE)
         placements.append(
             place(
-                ir,
+                main.spec.ir,
                 gpu,
-                traits=bench.gpu_traits(NAIVE),
+                traits=main.spec.traits,
                 caches=bench.platform.gpu_caches(),
-                n_items=bench.gpu_work_items(),
+                n_items=main.work_items(main.spec.ir.elems_per_item),
             )
         )
     print(format_roofline_chart(placements))

@@ -41,8 +41,11 @@ from ..ir.analysis import analyze
 from ..ir.dtypes import DType, F32, F64
 from ..ir.nodes import Kernel as IrKernel
 from ..ir.validate import validate
+from ..ocl.buffer import Buffer
 from ..ocl.context import Context
 from ..ocl.device import mali_t604
+from ..ocl.driver import fill_seconds, platform_quirks
+from ..ocl.program import KernelSpec, Program
 from ..ocl.queue import CommandQueue
 from ..power import dvfs
 from ..power.energy import EnergyReport
@@ -50,6 +53,7 @@ from ..power.model import PowerTrace
 from ..power.rails import Activity, ActivityKind
 from ..pricing.cells import MODE_OPENMP, MODE_SERIAL, CpuCell, TraceCell
 from ..workload import WorkloadTraits
+from .common import DeviceFill, KernelLaunch, kernel_launches, read_mapped
 
 
 class Precision(enum.Enum):
@@ -370,27 +374,70 @@ class Benchmark(abc.ABC):
         """Workload traits of the GPU implementation (default: CPU's)."""
         return self.cpu_traits()
 
-    def gpu_work_items(self) -> int:
-        """Work-items of the main kernel's launch before vectorization
-        (equals ``elements()`` except for fixed-grid kernels like red)."""
-        return self.elements()
+    # ------------------------------------------------------------------
+    # GPU orchestration: one declaration of the timed region
+    # ------------------------------------------------------------------
+    #: key of the output buffer in the :meth:`gpu_buffers` dict
+    result_buffer: ClassVar[str]
 
-    # ------------------------------------------------------------------
-    # GPU orchestration (abstract)
-    # ------------------------------------------------------------------
     @abc.abstractmethod
+    def gpu_buffers(
+        self, ctx: Context, queue: CommandQueue, options: CompileOptions
+    ) -> dict[str, Buffer]:
+        """Create the buffers the timed region names; stage inputs (untimed)."""
+
+    def kernel_func(self) -> Callable[..., None]:
+        """Functional NumPy body of the default one-kernel declaration."""
+        raise NotImplementedError
+
+    def gpu_launches(self, options: CompileOptions) -> tuple[KernelLaunch | DeviceFill, ...]:
+        """The timed region's steps in enqueue order (§IV-D).
+
+        The runner (:meth:`gpu_iteration`) and the tuner
+        (:meth:`iteration_pricer`) both walk this declaration.  Default:
+        one launch of :meth:`kernel_ir` covering :meth:`elements`, bound
+        to the buffers named like the kernel's parameters.  Multi-step
+        benchmarks (red, hist) override it.
+        """
+        ir = self.kernel_ir(options)
+        spec = KernelSpec(ir=ir, func=self.kernel_func(), traits=self.gpu_traits(options))
+        return (KernelLaunch(spec, tuple(p.name for p in ir.params), self.elements()),)
+
+    def main_launch(self, options: CompileOptions) -> KernelLaunch:
+        """The main kernel step: the launch of ``kernel_ir(options)``."""
+        return kernel_launches(self.gpu_launches(options))[0]
+
     def gpu_setup(self, ctx: Context, queue: CommandQueue, options: CompileOptions) -> dict:
-        """Create buffers, program and kernels; stage inputs (untimed)."""
+        """Build the declared kernels and bind their buffers (untimed)."""
+        steps = self.gpu_launches(options)
+        program = Program(ctx, [k.spec for k in kernel_launches(steps)]).build(options)
+        buffers = self.gpu_buffers(ctx, queue, options)
+        kernels = []
+        for step in steps:
+            kernel = None
+            if isinstance(step, KernelLaunch):
+                kernel = program.create_kernel(step.spec.name)
+                kernel.set_args(*(buffers[name] for name in step.args))
+            kernels.append(kernel)
+        return {"steps": tuple(zip(steps, kernels)), "buffers": buffers}
 
-    @abc.abstractmethod
     def gpu_iteration(
         self, queue: CommandQueue, state: dict, local_size: int | None
     ) -> None:
-        """Enqueue one timed iteration (kernel launches only, §IV-D)."""
+        """Enqueue one timed iteration: the declared steps, in order."""
+        max_work_group_size = queue.device.max_work_group_size
+        for step, kernel in state["steps"]:
+            if kernel is None:
+                queue.enqueue_fill_buffer(state["buffers"][step.buffer], 0)
+                continue
+            global_size, local = step.geometry(
+                kernel.elems_per_item, local_size, max_work_group_size
+            )
+            queue.enqueue_nd_range_kernel(kernel, global_size, local)
 
-    @abc.abstractmethod
     def gpu_result(self, queue: CommandQueue, state: dict) -> np.ndarray:
         """Map/read the output buffer after the timed region (untimed)."""
+        return read_mapped(queue, state["buffers"][self.result_buffer])
 
     # ------------------------------------------------------------------
     # tuning space for OpenCL Opt
@@ -419,49 +466,43 @@ class Benchmark(abc.ABC):
     def iteration_pricer(self, options: CompileOptions) -> Callable[[int | None], float]:
         """One-options-point pricing handle for the autotuner.
 
-        Compiles the kernel once and builds one
+        Walks :meth:`gpu_launches` like :meth:`gpu_iteration`: each
+        kernel step is compiled once, with one
         :class:`~repro.mali.timing.LaunchPricer` (its memo-key prefix
-        hoisted); the returned callable prices a single local size
-        through it.  Raises the same compiler/CL errors as a
-        real build+launch (register-file exhaustion and friends), which
-        is how infeasible candidates are discarded — the mechanism
-        behind the paper's double-precision Opt results.  Multi-kernel
-        benchmarks override this to combine their stages.
+        hoisted), and each fill costs
+        :func:`~repro.ocl.driver.fill_seconds`.  The returned callable
+        prices one tuned local size by adding the step seconds from 0.0
+        in enqueue order, as the queue clock does, so it equals the
+        run's ``elapsed_s`` bitwise.  Raises the same compiler/CL errors
+        as a real build+launch (register-file exhaustion and friends),
+        which is how infeasible candidates are discarded — the mechanism
+        behind the paper's double-precision Opt results.
         """
         from ..compiler.pipeline import compile_kernel
-        from ..ocl.driver import default_quirks, driver_local_size
 
-        quirks = (
-            self.platform.driver_quirks
-            if self.platform.driver_quirks is not None
-            else default_quirks()
-        )
-        compiled = compile_kernel(self.kernel_ir(options), options, quirks=quirks)
-        base_items = max(1, -(-self.elements() // compiled.elems_per_item))
-        traits = self.gpu_traits(options)
+        quirks = platform_quirks(self.platform)
         pricing = self.platform.pricing_model()
-        pricer = pricing.gpu.pricer(compiled, traits)
+        max_work_group_size = self.platform.mali.max_work_group_size
+
+        def priced(step) -> Callable[[int | None], float]:
+            if isinstance(step, DeviceFill):
+                seconds = fill_seconds(step.nbytes, self.platform.dram)
+                return lambda local_size: seconds
+            compiled = compile_kernel(step.spec.ir, options, quirks=quirks)
+            pricer = pricing.gpu.pricer(compiled, step.spec.traits)
+            return lambda local_size: pricer.price(
+                *step.geometry(compiled.elems_per_item, local_size, max_work_group_size)
+            ).seconds
+
+        steps = [priced(step) for step in self.gpu_launches(options)]
 
         def estimate(local_size: int | None) -> float:
-            local = local_size or driver_local_size(
-                base_items, self.platform.mali.max_work_group_size
-            )
-            n_items = -(-base_items // local) * local
-            return pricer.price(n_items, local).seconds * traits.launches
+            seconds = 0.0
+            for step in steps:
+                seconds += step(local_size)
+            return seconds
 
         return estimate
-
-    def estimate_iteration_seconds(self, options: CompileOptions, local_size: int | None) -> float:
-        """Model-predicted time of one timed iteration (autotuner probe).
-
-        Compiles and prices the kernel without executing any functional
-        NumPy code, so the tuner can sweep dozens of candidates cheaply.
-        One-shot convenience over :meth:`iteration_pricer` — both the
-        exhaustive and the pruned tuner strategies price through the
-        same pricer code path, which is what makes their selections
-        provably identical.
-        """
-        return self.iteration_pricer(options)(local_size)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,4 +1,4 @@
-"""Shared host-code helpers for the GPU versions of the benchmarks.
+"""Shared host-code helpers and the timed-region steps of the GPU versions.
 
 All benchmarks use the paper's recommended host-code pattern (§III-A):
 ``CL_MEM_ALLOC_HOST_PTR`` buffers with map/unmap staging, so that "both
@@ -9,13 +9,16 @@ slower flag combinations explicitly.
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..ocl.buffer import Buffer
 from ..ocl.context import Context
+from ..ocl.driver import launch_geometry
 from ..ocl.enums import MapFlag, MemFlag
+from ..ocl.program import KernelSpec
 from ..ocl.queue import CommandQueue
 
 
@@ -47,55 +50,49 @@ def read_mapped(queue: CommandQueue, buf: Buffer) -> np.ndarray:
     return out
 
 
-def launch(
-    queue: CommandQueue,
-    kernel,
-    n_elements: int,
-    local_size: int | None,
-    traits=None,
-):
-    """Enqueue a kernel covering ``n_elements``, honouring divisibility.
+@dataclass(frozen=True)
+class KernelLaunch:
+    """One kernel launch of the timed region.
 
-    With an explicit local size the global size is rounded up to a
-    multiple (kernels guard the tail); with ``None`` the driver picks a
-    divisor itself.
-    """
-    global_size = kernel.global_size_for(n_elements)
-    if local_size is not None:
-        global_size = math.ceil(global_size / local_size) * local_size
-    return queue.enqueue_nd_range_kernel(kernel, global_size, local_size, traits=traits)
-
-
-class SingleKernelMixin:
-    """GPU orchestration for benchmarks with one kernel and one launch.
-
-    Subclasses provide :meth:`gpu_buffers` (ordered as the kernel's
-    parameters, with the output under the key named by
-    ``result_buffer``) and :meth:`kernel_func`.
+    ``args`` name the launch's argument buffers (keys of
+    ``gpu_buffers``) in parameter order.  The launch covers ``n``
+    elements, ``ceil(n / elems_per_item)`` work-items once compiled, or
+    with ``fixed_grid`` runs exactly ``n`` work-items.  ``local`` maps
+    the tuned local size (``None``: the driver's pick) to this launch's.
     """
 
-    #: key of the output buffer in the :meth:`gpu_buffers` dict
-    result_buffer: str = "out"
+    spec: KernelSpec
+    args: tuple[str, ...]
+    n: int
+    fixed_grid: bool = False
+    local: Callable[[int | None], int | None] = lambda local_size: local_size
 
-    def gpu_buffers(self, ctx: Context, queue: CommandQueue) -> dict[str, Buffer]:
-        raise NotImplementedError
+    def work_items(self, elems_per_item: int) -> int:
+        """Work-items before the round-up to a local-size multiple."""
+        if self.fixed_grid:
+            return self.n
+        return max(1, -(-self.n // elems_per_item))
 
-    def kernel_func(self):
-        raise NotImplementedError
+    def geometry(
+        self, elems_per_item: int, local_size: int | None, max_work_group_size: int
+    ) -> tuple[int, int]:
+        """``(global, local)`` sizes of this launch under a tuned local size."""
+        return launch_geometry(
+            self.work_items(elems_per_item), self.local(local_size), max_work_group_size
+        )
 
-    def gpu_setup(self, ctx: Context, queue: CommandQueue, options) -> dict:
-        from ..ocl.program import KernelSpec, Program
 
-        ir = self.kernel_ir(options)
-        spec = KernelSpec(ir=ir, func=self.kernel_func(), traits=self.gpu_traits(options))
-        program = Program(ctx, [spec]).build(options)
-        kernel = program.create_kernel(ir.name)
-        buffers = self.gpu_buffers(ctx, queue)
-        kernel.set_args(*buffers.values())
-        return {"kernel": kernel, "buffers": buffers, "options": options}
+@dataclass(frozen=True)
+class DeviceFill:
+    """A device-side zeroing of one buffer (``clEnqueueFillBuffer``)."""
 
-    def gpu_iteration(self, queue: CommandQueue, state: dict, local_size: int | None) -> None:
-        launch(queue, state["kernel"], self.elements(), local_size)
+    buffer: str
+    nbytes: int
 
-    def gpu_result(self, queue: CommandQueue, state: dict) -> np.ndarray:
-        return read_mapped(queue, state["buffers"][self.result_buffer])
+
+def kernel_launches(steps) -> list[KernelLaunch]:
+    """The kernel steps of a declaration, in enqueue order.
+
+    The first is the main kernel: the launch of ``kernel_ir(options)``.
+    """
+    return [s for s in steps if isinstance(s, KernelLaunch)]

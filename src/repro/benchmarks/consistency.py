@@ -59,11 +59,12 @@ def check_benchmark(
     """Cross-check one benchmark configuration."""
     issues: list[str] = []
 
-    traits = bench.gpu_traits(options)
-    ir = bench.kernel_ir(options)
+    main = bench.main_launch(options)
+    traits = main.spec.traits
+    ir = main.spec.ir
     mix = analyze(ir)
 
-    items = max(bench.gpu_work_items() / ir.elems_per_item, 1.0)
+    items = main.work_items(ir.elems_per_item)
     ir_bytes = (
         mix.bytes_moved(space=MemSpace.GLOBAL) + mix.bytes_moved(space=MemSpace.CONSTANT)
     ) * items
@@ -91,10 +92,6 @@ def check_benchmark(
             f"footprint {footprint / 1e9:.2f} GB exceeds device memory "
             f"({DEVICE_MEMORY_BYTES / 1e9:.1f} GB)"
         )
-    for s in traits.streams:
-        if s.reuse_window_bytes is not None and s.reuse_window_bytes > s.footprint_bytes * 1.01:
-            # harmless (window is capped) but indicates sloppy authoring
-            pass
 
     return ConsistencyReport(
         benchmark=bench.name,

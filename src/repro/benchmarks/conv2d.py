@@ -31,14 +31,15 @@ from .. import perf
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import SingleKernelMixin, alloc_mapped
+from .common import alloc_mapped
 
 
-class Conv2D(SingleKernelMixin, Benchmark):
+class Conv2D(Benchmark):
     """K×K convolution, one output pixel per work-item."""
 
     name = "2dcon"
     description = "2D convolution; vector+thread parallelism everywhere"
+    result_buffer = "output"
 
     DEFAULT_DIM = 1536
     K = 3
@@ -119,11 +120,11 @@ class Conv2D(SingleKernelMixin, Benchmark):
         return WorkloadTraits(streams=self._streams(), elements=self.elements())
 
     # ------------------------------------------------------------------
-    def gpu_buffers(self, ctx, queue):
+    def gpu_buffers(self, ctx, queue, options):
         return {
             "image": alloc_mapped(ctx, queue, data=self.image),
             "filt": alloc_mapped(ctx, queue, data=self.filter),
-            "out": alloc_mapped(ctx, queue, shape=self.image.shape, dtype=self.ftype),
+            "output": alloc_mapped(ctx, queue, shape=self.image.shape, dtype=self.ftype),
         }
 
     def kernel_func(self):

@@ -33,14 +33,15 @@ from ..ir.nodes import AccessPattern, Kernel as IrKernel, OpKind, Scaling
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import SingleKernelMixin, alloc_mapped
+from .common import alloc_mapped
 
 
-class Dmmm(SingleKernelMixin, Benchmark):
+class Dmmm(Benchmark):
     """Square matrix product, row-major storage."""
 
     name = "dmmm"
     description = "dense C = A @ B; data reuse and compute throughput"
+    result_buffer = "C"
 
     DEFAULT_N = 512
 
@@ -174,11 +175,11 @@ class Dmmm(SingleKernelMixin, Benchmark):
         return WorkloadTraits(streams=self._streams(options), elements=self.elements())
 
     # ------------------------------------------------------------------
-    def gpu_buffers(self, ctx, queue):
+    def gpu_buffers(self, ctx, queue, options):
         return {
             "A": alloc_mapped(ctx, queue, data=self.A),
             "B": alloc_mapped(ctx, queue, data=self.B),
-            "out": alloc_mapped(ctx, queue, shape=(self.n, self.n), dtype=self.ftype),
+            "C": alloc_mapped(ctx, queue, shape=(self.n, self.n), dtype=self.ftype),
         }
 
     def kernel_func(self):

@@ -28,10 +28,10 @@ from ..ir.builder import KernelBuilder
 from ..ir.dtypes import U32
 from ..ir.nodes import AccessPattern, Kernel as IrKernel, MemSpace, OpKind, Scaling
 from ..memory.cache import StreamSpec
-from ..ocl.program import KernelSpec, Program
+from ..ocl.program import KernelSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import alloc_mapped, launch, read_mapped
+from .common import DeviceFill, KernelLaunch, alloc_mapped
 
 
 class Histogram(Benchmark):
@@ -39,6 +39,7 @@ class Histogram(Benchmark):
 
     name = "hist"
     description = "bucketed histogram; atomics / privatized reduction"
+    result_buffer = "bins"
 
     DEFAULT_N = 1 << 22
     BUCKETS = 256
@@ -160,56 +161,41 @@ class Histogram(Benchmark):
         return b.build(base_live_values=5.0)
 
     def gpu_traits(self, options: CompileOptions) -> WorkloadTraits:
-        launches = 2 if options.any_enabled else 1
-        return WorkloadTraits(
-            streams=self._streams(),
-            elements=self.n,
-            launches=launches,
-        )
+        return WorkloadTraits(streams=self._streams(), elements=self.n)
 
     # ------------------------------------------------------------------
     # GPU orchestration (two kernels in the optimized variant)
     # ------------------------------------------------------------------
-    def gpu_setup(self, ctx, queue, options: CompileOptions) -> dict:
-        main_ir = self.kernel_ir(options)
-        specs = [KernelSpec(ir=main_ir, func=self._main_func(), traits=self.gpu_traits(options))]
-        if options.any_enabled:
-            specs.append(
-                KernelSpec(ir=self._merge_ir(), func=self._merge_func(), traits=self._merge_traits())
-            )
-        program = Program(ctx, specs).build(options)
-        buffers = {
+    def gpu_buffers(self, ctx, queue, options):
+        return {
             "values": alloc_mapped(ctx, queue, data=self.values),
             "bins": alloc_mapped(ctx, queue, shape=self.BUCKETS, dtype=np.uint32),
-        }
-        state: dict = {"buffers": buffers, "options": options}
-        main = program.create_kernel(main_ir.name)
-        if options.any_enabled:
-            buffers["partials"] = alloc_mapped(
+            "partials": alloc_mapped(
                 ctx, queue, shape=(self.PRIVATE_COPIES, self.BUCKETS), dtype=np.uint32
-            )
-            main.set_args(buffers["values"], buffers["partials"])
-            merge = program.create_kernel("hist_merge")
-            merge.set_args(buffers["partials"], buffers["bins"])
-            state["merge"] = merge
-        else:
-            main.set_args(buffers["values"], buffers["bins"])
-        state["main"] = main
-        return state
+            ),
+        }
 
-    def gpu_iteration(self, queue, state: dict, local_size: int | None) -> None:
-        buffers = state["buffers"]
+    def gpu_launches(self, options: CompileOptions):
+        main = KernelSpec(
+            ir=self.kernel_ir(options), func=self._main_func(), traits=self.gpu_traits(options)
+        )
         # histograms accumulate: zeroing the bins is part of the timed
         # region, done device-side (clEnqueueFillBuffer)
-        queue.enqueue_fill_buffer(buffers["bins"], 0)
-        if "partials" in buffers:
-            queue.enqueue_fill_buffer(buffers["partials"], 0)
-        launch(queue, state["main"], self.n, local_size)
-        if "merge" in state:
-            launch(queue, state["merge"], self.BUCKETS, min(local_size or 64, self.BUCKETS))
-
-    def gpu_result(self, queue, state: dict) -> np.ndarray:
-        return read_mapped(queue, state["buffers"]["bins"])
+        zero_bins = DeviceFill("bins", self.BUCKETS * 4)
+        if not options.any_enabled:
+            return (zero_bins, KernelLaunch(main, ("values", "bins"), self.n))
+        merge = KernelSpec(ir=self._merge_ir(), func=self._merge_func(), traits=self._merge_traits())
+        return (
+            zero_bins,
+            DeviceFill("partials", self.PRIVATE_COPIES * self.BUCKETS * 4),
+            KernelLaunch(main, ("values", "partials"), self.n),
+            KernelLaunch(
+                merge,
+                ("partials", "bins"),
+                self.BUCKETS,
+                local=lambda local_size: min(local_size or 64, self.BUCKETS),
+            ),
+        )
 
     # ------------------------------------------------------------------
     def _main_func(self):
@@ -240,57 +226,6 @@ class Histogram(Benchmark):
             streams=(StreamSpec("partials", nbytes), StreamSpec("bins", float(self.BUCKETS * 4))),
             elements=self.BUCKETS,
         )
-
-    def iteration_pricer(self, options: CompileOptions):
-        """Main + (optional) merge kernel pricer, compiled once each."""
-        main = self._pricer_one(self.kernel_ir(options), options, self.n, self.gpu_traits(options))
-        fill_main = self._fill_seconds(self.BUCKETS * 4)
-        merge = None
-        fill_merge = 0.0
-        if options.any_enabled:
-            merge = self._pricer_one(self._merge_ir(), options, self.BUCKETS, self._merge_traits())
-            fill_merge = self._fill_seconds(self.PRIVATE_COPIES * self.BUCKETS * 4)
-
-        def estimate(local_size: int | None) -> float:
-            seconds = main(local_size)
-            seconds += fill_main
-            if merge is not None:
-                seconds += merge(min(local_size or 64, self.BUCKETS))
-                seconds += fill_merge
-            return seconds
-
-        return estimate
-
-    def _fill_seconds(self, nbytes: int) -> float:
-        """Cost of the clEnqueueFillBuffer zeroing in the timed region."""
-        bw = self.platform.dram.gpu_cap * self.platform.dram.efficiency.unit
-        return max(nbytes / bw, 2e-6)
-
-    def _pricer_one(self, ir, options, n_elements, traits):
-        """One-kernel pricing callable (compiles and builds tables once)."""
-        from ..compiler.pipeline import compile_kernel
-        from ..mali.timing import LaunchPricer
-        from ..ocl.driver import default_quirks, driver_local_size
-
-        quirks = (
-            self.platform.driver_quirks
-            if self.platform.driver_quirks is not None
-            else default_quirks()
-        )
-        compiled = compile_kernel(ir, options, quirks=quirks)
-        base_items = max(1, -(-n_elements // compiled.elems_per_item))
-        pricer = LaunchPricer(
-            compiled, traits,
-            self.platform.mali, self.platform.dram_model(), self.platform.gpu_caches(),
-        )
-
-        def one(local_size) -> float:
-            local = local_size or driver_local_size(base_items, self.platform.mali.max_work_group_size)
-            local = min(local, self.platform.mali.max_work_group_size)
-            n_items = -(-base_items // local) * local
-            return pricer.price(n_items, local).seconds
-
-        return one
 
     def tuning_space(self):
         for width in (1, 4, 8):

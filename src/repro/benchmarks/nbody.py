@@ -29,7 +29,7 @@ from ..ir.nodes import AccessPattern, Kernel as IrKernel, Layout, OpKind, Scalin
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import SingleKernelMixin, alloc_mapped
+from .common import alloc_mapped
 
 #: record layout: x, y, z, mass, vx, vy, vz, pad
 FIELDS = 8
@@ -77,11 +77,12 @@ def nbody_step(bodies: np.ndarray, ftype) -> np.ndarray:
     return new.astype(ftype)
 
 
-class NBody(SingleKernelMixin, Benchmark):
+class NBody(Benchmark):
     """All-pairs gravitational step, one body per work-item."""
 
     name = "nbody"
     description = "all-pairs gravity; compute-bound O(N^2)"
+    result_buffer = "bodies_out"
 
     DEFAULT_BODIES = 2048
 
@@ -160,10 +161,10 @@ class NBody(SingleKernelMixin, Benchmark):
         return WorkloadTraits(streams=self._streams(), elements=self.n_bodies)
 
     # ------------------------------------------------------------------
-    def gpu_buffers(self, ctx, queue):
+    def gpu_buffers(self, ctx, queue, options):
         return {
             "bodies": alloc_mapped(ctx, queue, data=self.bodies),
-            "out": alloc_mapped(ctx, queue, shape=self.bodies.shape, dtype=self.ftype),
+            "bodies_out": alloc_mapped(ctx, queue, shape=self.bodies.shape, dtype=self.ftype),
         }
 
     def kernel_func(self):

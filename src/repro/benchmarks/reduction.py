@@ -19,19 +19,17 @@ loop — the loop-mode path of the vectorizer.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..compiler.options import CompileOptions
 from ..ir.builder import KernelBuilder
 from ..ir.nodes import Kernel as IrKernel, MemSpace, OpKind, Scaling
 from ..memory.cache import StreamSpec
-from ..ocl.program import KernelSpec, Program
+from ..ocl.program import KernelSpec
 from ..workload import WorkloadTraits
 from .. import perf
 from .base import Benchmark
-from .common import alloc_mapped, launch, read_mapped
+from .common import KernelLaunch, alloc_mapped
 
 
 class Reduction(Benchmark):
@@ -39,6 +37,7 @@ class Reduction(Benchmark):
 
     name = "red"
     description = "vector sum; parallel-to-sequential adaptation"
+    result_buffer = "result"
 
     DEFAULT_N = 1 << 23
     #: stage-1 work-items (fixed grid, chunked accumulation)
@@ -151,47 +150,37 @@ class Reduction(Benchmark):
         )
 
     def gpu_traits(self, options: CompileOptions) -> WorkloadTraits:
-        return WorkloadTraits(streams=self._streams(), elements=self.n, launches=2)
-
-    def gpu_work_items(self) -> int:
-        return self.STAGE1_ITEMS
+        return WorkloadTraits(streams=self._streams(), elements=self.n)
 
     # ------------------------------------------------------------------
-    def gpu_setup(self, ctx, queue, options: CompileOptions) -> dict:
-        n_groups = max(self.STAGE1_ITEMS // 128, 1)
-        stage1 = self.kernel_ir(options)
-        stage2 = self._stage2_ir(self.STAGE1_ITEMS)
-        specs = [
-            KernelSpec(ir=stage1, func=self._stage1_func(), traits=self.gpu_traits(options)),
-            KernelSpec(ir=stage2, func=self._stage2_func(), traits=self._stage2_traits()),
-        ]
-        program = Program(ctx, specs).build(options)
-        buffers = {
+    def gpu_buffers(self, ctx, queue, options):
+        return {
             "data": alloc_mapped(ctx, queue, data=self.data),
             "partials": alloc_mapped(ctx, queue, shape=self.STAGE1_ITEMS, dtype=self.ftype),
             "result": alloc_mapped(ctx, queue, shape=1, dtype=self.ftype),
         }
-        k1 = program.create_kernel("red_stage1")
-        k1.set_args(buffers["data"], buffers["partials"])
-        k2 = program.create_kernel("red_stage2")
-        k2.set_args(buffers["partials"], buffers["result"])
-        return {"stage1": k1, "stage2": k2, "buffers": buffers, "options": options}
 
-    def gpu_iteration(self, queue, state, local_size: int | None) -> None:
-        # stage 1 runs a fixed grid: global size == STAGE1_ITEMS
-        queue.enqueue_nd_range_kernel(
-            state["stage1"], self.STAGE1_ITEMS, local_size, traits=self.gpu_traits(state["options"])
+    def gpu_launches(self, options: CompileOptions):
+        stage1 = KernelSpec(
+            ir=self.kernel_ir(options), func=self._stage1_func(), traits=self.gpu_traits(options)
         )
-        # stage 2: one work-group folds the partials
-        queue.enqueue_nd_range_kernel(
-            state["stage2"],
-            min(self.STAGE2_LOCAL, self.STAGE1_ITEMS),
-            min(self.STAGE2_LOCAL, self.STAGE1_ITEMS),
+        stage2 = KernelSpec(
+            ir=self._stage2_ir(self.STAGE1_ITEMS),
+            func=self._stage2_func(),
             traits=self._stage2_traits(),
         )
-
-    def gpu_result(self, queue, state) -> np.ndarray:
-        return read_mapped(queue, state["buffers"]["result"])
+        return (
+            # stage 1 runs a fixed grid of STAGE1_ITEMS
+            KernelLaunch(stage1, ("data", "partials"), self.STAGE1_ITEMS, fixed_grid=True),
+            # stage 2: one work-group folds the partials
+            KernelLaunch(
+                stage2,
+                ("partials", "result"),
+                self.STAGE2_LOCAL,
+                fixed_grid=True,
+                local=lambda local_size: self.STAGE2_LOCAL,
+            ),
+        )
 
     def _stage1_func(self):
         items = self.STAGE1_ITEMS
@@ -220,34 +209,6 @@ class Reduction(Benchmark):
             streams=(StreamSpec("partials", float(self.STAGE1_ITEMS * fsize)),),
             elements=self.STAGE1_ITEMS,
         )
-
-    def iteration_pricer(self, options: CompileOptions):
-        """Two-stage pricer: both stages compiled once per options point."""
-        from ..compiler.pipeline import compile_kernel
-        from ..mali.timing import LaunchPricer
-        from ..ocl.driver import default_quirks, driver_local_size
-
-        mali = self.platform.mali
-        dram = self.platform.dram_model()
-        caches = self.platform.gpu_caches()
-
-        quirks = (
-            self.platform.driver_quirks
-            if self.platform.driver_quirks is not None
-            else default_quirks()
-        )
-        c1 = compile_kernel(self.kernel_ir(options), options, quirks=quirks)
-        p1 = LaunchPricer(c1, self.gpu_traits(options), mali, dram, caches)
-        c2 = compile_kernel(self._stage2_ir(self.STAGE1_ITEMS), options, quirks=quirks)
-        p2 = LaunchPricer(c2, self._stage2_traits(), mali, dram, caches)
-
-        def estimate(local_size: int | None) -> float:
-            local = local_size or driver_local_size(self.STAGE1_ITEMS, mali.max_work_group_size)
-            t1 = p1.price(self.STAGE1_ITEMS, local)
-            t2 = p2.price(self.STAGE2_LOCAL, self.STAGE2_LOCAL)
-            return t1.seconds + t2.seconds
-
-        return estimate
 
     def tuning_space(self):
         for width in (1, 2, 4, 8, 16):

@@ -25,14 +25,15 @@ from ..ir.nodes import AccessPattern, Kernel as IrKernel, OpKind, Scaling
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import SingleKernelMixin, alloc_mapped
+from .common import alloc_mapped
 
 
-class SpMV(SingleKernelMixin, Benchmark):
+class SpMV(Benchmark):
     """CSR sparse matrix-vector product, one row per work-item."""
 
     name = "spmv"
     description = "CSR y = A x; ragged rows stress load balance"
+    result_buffer = "y"
 
     DEFAULT_ROWS = 1 << 15
     MEAN_NNZ_PER_ROW = 24.0
@@ -129,14 +130,14 @@ class SpMV(SingleKernelMixin, Benchmark):
         )
 
     # ------------------------------------------------------------------
-    def gpu_buffers(self, ctx, queue):
+    def gpu_buffers(self, ctx, queue, options):
         m = self.matrix
         return {
             "values": alloc_mapped(ctx, queue, data=np.asarray(m.data, dtype=self.ftype)),
             "indices": alloc_mapped(ctx, queue, data=np.asarray(m.indices, dtype=np.int32)),
             "indptr": alloc_mapped(ctx, queue, data=np.asarray(m.indptr, dtype=np.int32)),
             "x": alloc_mapped(ctx, queue, data=self.x),
-            "out": alloc_mapped(ctx, queue, shape=self.rows, dtype=self.ftype),
+            "y": alloc_mapped(ctx, queue, shape=self.rows, dtype=self.ftype),
         }
 
     def kernel_func(self):

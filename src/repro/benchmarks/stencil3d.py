@@ -23,14 +23,15 @@ from ..ir.nodes import AccessPattern, Kernel as IrKernel, OpKind
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import SingleKernelMixin, alloc_mapped
+from .common import alloc_mapped
 
 
-class Stencil3D(SingleKernelMixin, Benchmark):
+class Stencil3D(Benchmark):
     """7-point stencil: out = c0*center + c1*sum(neighbors)."""
 
     name = "3dstc"
     description = "7-point 3D stencil; regular strided accesses"
+    result_buffer = "dst"
 
     DEFAULT_DIM = 96
     C0 = 0.4
@@ -96,10 +97,10 @@ class Stencil3D(SingleKernelMixin, Benchmark):
         return WorkloadTraits(streams=self._streams(), elements=self.elements())
 
     # ------------------------------------------------------------------
-    def gpu_buffers(self, ctx, queue):
+    def gpu_buffers(self, ctx, queue, options):
         return {
             "src": alloc_mapped(ctx, queue, data=self.grid),
-            "out": alloc_mapped(ctx, queue, shape=self.grid.shape, dtype=self.ftype),
+            "dst": alloc_mapped(ctx, queue, shape=self.grid.shape, dtype=self.ftype),
         }
 
     def kernel_func(self):

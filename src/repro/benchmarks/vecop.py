@@ -21,14 +21,15 @@ from ..ir.nodes import Kernel as IrKernel, OpKind
 from ..memory.cache import StreamSpec
 from ..workload import WorkloadTraits
 from .base import Benchmark
-from .common import SingleKernelMixin, alloc_mapped
+from .common import alloc_mapped
 
 
-class VecOp(SingleKernelMixin, Benchmark):
+class VecOp(Benchmark):
     """``c[i] = a[i] + b[i]`` over ``n`` elements."""
 
     name = "vecop"
     description = "element-wise vector addition; stresses memory bandwidth"
+    result_buffer = "c"
 
     DEFAULT_N = 1 << 22
 
@@ -73,11 +74,11 @@ class VecOp(SingleKernelMixin, Benchmark):
         return WorkloadTraits(streams=self._streams(), elements=self.n)
 
     # ------------------------------------------------------------------
-    def gpu_buffers(self, ctx, queue):
+    def gpu_buffers(self, ctx, queue, options):
         return {
             "a": alloc_mapped(ctx, queue, data=self.a),
             "b": alloc_mapped(ctx, queue, data=self.b),
-            "out": alloc_mapped(ctx, queue, shape=self.n, dtype=self.ftype),
+            "c": alloc_mapped(ctx, queue, shape=self.n, dtype=self.ftype),
         }
 
     def kernel_func(self):

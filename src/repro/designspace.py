@@ -23,14 +23,17 @@ platform prices each cell (``pricing_model().gpu.price_one`` /
 is the value that config's own platform would report.
 
 The **Opt** version of a (config, benchmark, precision) point is the
-feasible candidate minimizing ``seconds × launches`` — the autotuner's
-currency over the main-kernel candidate set.  Multi-kernel benchmarks
-(hist's merge stage, red's second stage) price their main kernel here;
-the full multi-stage ``iteration_pricer`` refinement stays the
-campaign path's job.  Candidates whose kernels exceed a config's scaled
-register file are infeasible on that config (``CL_OUT_OF_RESOURCES``),
-which is how the paper's DP register-exhaustion collapse shows up
-across the space.
+feasible candidate minimizing ``seconds × launches``, where
+``seconds`` prices the main kernel of ``Benchmark.gpu_launches`` over
+``elements()`` and ``launches`` counts its declared kernel steps.
+Multi-kernel benchmarks (hist's merge stage, red's second stage) so
+price their main kernel once per step, and red's main kernel over its
+elements rather than its fixed grid, until a re-baseline of the pinned
+frontiers prices every declared step; the campaign path's
+``iteration_pricer`` already walks them all.  Candidates whose kernels
+exceed a config's scaled register file are infeasible on that config
+(``CL_OUT_OF_RESOURCES``), which is how the paper's DP
+register-exhaustion collapse shows up across the space.
 
 On top sit deterministic Pareto helpers: :func:`dominates`,
 :func:`frontier` (the O(n log n) :func:`repro.pareto.skyline`),
@@ -163,10 +166,11 @@ class DesignSpace:
     ) -> None:
         import numpy as np
 
+        from .benchmarks.common import kernel_launches
         from .compiler.pipeline import compile_kernel
         from .cpu.pricing import CpuConfigStack
         from .mali.timing import GpuConfigStack
-        from .ocl.driver import default_quirks, driver_local_size
+        from .ocl.driver import launch_geometry, platform_quirks
         from .optimizations.autotune import _candidates
 
         self.base = base if base is not None else default_platform()
@@ -175,11 +179,7 @@ class DesignSpace:
         self.scale = scale
         self.seed = seed
 
-        quirks = (
-            self.base.driver_quirks
-            if self.base.driver_quirks is not None
-            else default_quirks()
-        )
+        quirks = platform_quirks(self.base)
         groups: list[_BenchCells] = []
         cpu_cells: list[CpuCell] = []
         gpu_cells: list[GpuLaunchCell] = []
@@ -198,28 +198,32 @@ class DesignSpace:
                     CpuCell(mix=mix, mode=MODE_OPENMP, n_elements=n, traits=traits)
                 )
                 gpu_start = len(gpu_cells)
+                declared: dict = {}  # options -> kernel steps, one build each
                 for options, local in _candidates(bench, include_naive=True):
+                    if options not in declared:
+                        declared[options] = kernel_launches(bench.gpu_launches(options))
+                    kernels = declared[options]
+                    main = kernels[0]
                     try:
-                        compiled = compile_kernel(
-                            bench.kernel_ir(options), options, quirks=quirks
-                        )
+                        compiled = compile_kernel(main.spec.ir, options, quirks=quirks)
                     except (CompilerError, CLError):
                         continue  # infeasible on every config (baseline ISA)
-                    base_items = max(1, -(-bench.elements() // compiled.elems_per_item))
-                    loc = local or driver_local_size(
-                        base_items, self.base.mali.max_work_group_size
+                    # the main kernel over elements(), even for red's
+                    # fixed grid, as the pinned frontiers were priced
+                    n_items, loc = launch_geometry(
+                        max(1, -(-bench.elements() // compiled.elems_per_item)),
+                        local,
+                        self.base.mali.max_work_group_size,
                     )
-                    n_items = -(-base_items // loc) * loc
-                    gtraits = bench.gpu_traits(options)
                     gpu_cells.append(
                         GpuLaunchCell(
                             compiled=compiled,
-                            traits=gtraits,
+                            traits=main.spec.traits,
                             n_items=n_items,
                             local_size=loc,
                         )
                     )
-                    launches.append(gtraits.launches)
+                    launches.append(len(kernels))
                 groups.append(
                     _BenchCells(
                         name,

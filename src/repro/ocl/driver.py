@@ -35,6 +35,8 @@ TRANSFER_BASE_OVERHEAD_S = 12e-6
 CACHE_MAINTENANCE_BANDWIDTH = 9.0e9
 #: fixed cost of a map or unmap call, seconds
 MAP_BASE_OVERHEAD_S = 6e-6
+#: shortest device-side fill or copy, seconds
+DEVICE_COMMAND_MIN_S = 2e-6
 
 #: helper-function names the FP64 compiler defect trips over
 _RNG_HELPER_NAMES = frozenset({"lcg_rand", "xorshift", "rand_lcg"})
@@ -86,6 +88,13 @@ def embedded_profile_quirks() -> tuple:
     return (EmbeddedProfileNoFp64(), Fp64RngCompilerBug())
 
 
+def platform_quirks(platform) -> tuple:
+    """The quirk table of ``platform`` (``None`` or a platform without
+    its own table: the simulated driver version's defaults)."""
+    quirks = getattr(platform, "driver_quirks", None)
+    return quirks if quirks is not None else default_quirks()
+
+
 def driver_local_size(global_size: int, max_work_group_size: int) -> int:
     """The driver's work-group size pick when ``local_work_size=NULL``.
 
@@ -104,6 +113,20 @@ def driver_local_size(global_size: int, max_work_group_size: int) -> int:
     return pick
 
 
+def launch_geometry(
+    work_items: int, local_size: int | None, max_work_group_size: int
+) -> tuple[int, int]:
+    """``(global, local)`` sizes of an NDRange launch of ``work_items``.
+
+    With an explicit local size the global size is rounded up to a
+    multiple (kernels guard the tail); with ``None`` the driver picks a
+    divisor of ``work_items`` itself (:func:`driver_local_size`).
+    """
+    if local_size is None:
+        return work_items, driver_local_size(work_items, max_work_group_size)
+    return -(-work_items // local_size) * local_size, local_size
+
+
 def copy_seconds(nbytes: int) -> float:
     """Host-side time for an enqueue read/write copy of ``nbytes``."""
     return TRANSFER_BASE_OVERHEAD_S + nbytes / HOST_MEMCPY_BANDWIDTH
@@ -118,3 +141,12 @@ def map_seconds(nbytes: int, zero_copy: bool) -> float:
     if zero_copy:
         return MAP_BASE_OVERHEAD_S + nbytes / CACHE_MAINTENANCE_BANDWIDTH
     return copy_seconds(nbytes)
+
+
+def fill_seconds(nbytes: int, dram) -> float:
+    """Device time to write ``nbytes`` (``clEnqueueFillBuffer``).
+
+    On the unified-memory Mali a fill is a GPU-side write stream at the
+    store bandwidth of the ``dram`` config.
+    """
+    return max(nbytes / (dram.gpu_cap * dram.efficiency.unit), DEVICE_COMMAND_MIN_S)

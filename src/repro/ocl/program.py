@@ -32,7 +32,7 @@ from ..errors import (
 from ..ir.nodes import Kernel as IrKernel
 from ..workload import WorkloadTraits
 from .context import Context
-from .driver import default_quirks
+from .driver import platform_quirks
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,7 @@ class Program:
         """
         options = options or CompileOptions()
         if quirks is None:
-            hw = self.context.device.hardware
-            platform_quirks = getattr(hw, "driver_quirks", None) if hw is not None else None
-            quirks = platform_quirks if platform_quirks is not None else default_quirks()
+            quirks = platform_quirks(self.context.device.hardware)
         self._built.clear()
         self.build_log.clear()
         self.build_options = options

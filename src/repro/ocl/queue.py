@@ -23,11 +23,10 @@ from ..errors import (
 )
 from ..mali.timing import GpuLaunchTiming, time_launch
 from ..power.rails import Activity, ActivityKind
-from ..workload import WorkloadTraits
 from .buffer import Buffer
 from .context import Context
 from .device import Device
-from .driver import copy_seconds, driver_local_size, map_seconds
+from .driver import copy_seconds, driver_local_size, fill_seconds, map_seconds
 from .enums import CommandStatus, CommandType, MapFlag
 from .event import Event
 from .kernel import Kernel
@@ -118,9 +117,7 @@ class CommandQueue:
         """
         view = buffer.device_view()
         view[...] = value
-        hw = self.device.hardware
-        bw = hw.dram.gpu_cap * hw.dram.efficiency.unit
-        duration = max(buffer.size / bw, 2e-6)
+        duration = fill_seconds(buffer.size, self.device.hardware.dram)
         activity = Activity(
             kind=ActivityKind.GPU_KERNEL,
             duration_s=duration,
@@ -137,9 +134,7 @@ class CommandQueue:
                 f"copy between buffers of different sizes ({src.size} vs {dst.size})"
             )
         np.copyto(dst.device_view().reshape(-1), src.device_view().reshape(-1))
-        hw = self.device.hardware
-        bw = hw.dram.gpu_cap * hw.dram.efficiency.unit
-        duration = max(2.0 * src.size / bw, 2e-6)  # read + write streams
+        duration = fill_seconds(2 * src.size, self.device.hardware.dram)  # read + write streams
         activity = Activity(
             kind=ActivityKind.GPU_KERNEL,
             duration_s=duration,
@@ -192,7 +187,6 @@ class CommandQueue:
         kernel: Kernel,
         global_size: int,
         local_size: int | None = None,
-        traits: WorkloadTraits | None = None,
     ) -> Event:
         """``clEnqueueNDRangeKernel`` on the simulated Mali-T604.
 
@@ -221,12 +215,11 @@ class CommandQueue:
                 "(OpenCL 1.1 requirement)"
             )
 
-        traits = traits or kernel.spec.traits
         timing: GpuLaunchTiming = time_launch(
             compiled=kernel.compiled,
             n_items=global_size,
             local_size=local_size,
-            traits=traits,
+            traits=kernel.spec.traits,
             config=hw.mali,
             dram=hw.dram_model(),
             caches=hw.gpu_caches(),

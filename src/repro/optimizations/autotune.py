@@ -117,7 +117,7 @@ def _sweep_exhaustive(bench, candidates) -> tuple[TuneTrial, ...]:
     trials: list[TuneTrial] = []
     for options, local_size in candidates:
         try:
-            seconds = bench.estimate_iteration_seconds(options, local_size)
+            seconds = bench.iteration_pricer(options)(local_size)
         except (CompilerError, CLError) as exc:
             trials.append(
                 TuneTrial(options=options, local_size=local_size, seconds=None, error=str(exc))
@@ -130,13 +130,11 @@ def _sweep_exhaustive(bench, candidates) -> tuple[TuneTrial, ...]:
 def _sweep_pruned(bench, candidates) -> tuple[TuneTrial, ...]:
     from ..compiler.pipeline import compile_kernel
     from ..mali.timing import GpuConfigStack
-    from ..ocl.driver import default_quirks
+    from ..ocl.driver import platform_quirks
     from ..pricing.cells import GpuLaunchCell
 
     platform = bench.platform
-    quirks = (
-        platform.driver_quirks if platform.driver_quirks is not None else default_quirks()
-    )
+    quirks = platform_quirks(platform)
     dram = platform.dram_model()
     caches = platform.gpu_caches()
 
@@ -145,16 +143,17 @@ def _sweep_pruned(bench, candidates) -> tuple[TuneTrial, ...]:
     # Phase 1: one compile per distinct options point.  compile_kernel
     # takes no local size, so a failure (register exhaustion, driver
     # quirk) condemns every local size of the group at once — and the
-    # error string each condemned trial records is exactly what
-    # estimate_iteration_seconds would have raised for it.
+    # error string each condemned trial records is exactly what its
+    # iteration_pricer would have raised for it.
     groups: dict[CompileOptions, list[int]] = {}
     for index, (options, _) in enumerate(candidates):
         groups.setdefault(options, []).append(index)
 
     floors: dict[int, float] = {}
     for options, indices in groups.items():
+        main = bench.main_launch(options)
         try:
-            compiled = compile_kernel(bench.kernel_ir(options), options, quirks=quirks)
+            compiled = compile_kernel(main.spec.ir, options, quirks=quirks)
         except (CompilerError, CLError) as exc:
             for index in indices:
                 opts, local = candidates[index]
@@ -162,15 +161,14 @@ def _sweep_pruned(bench, candidates) -> tuple[TuneTrial, ...]:
                     options=opts, local_size=local, seconds=None, error=str(exc)
                 )
             continue
-        # Optimistic bound on the main launch: floor work-items (no
-        # round-up to a local multiple — red launches a fixed grid) and
-        # no occupancy/imbalance/overhead penalties.  Always <= the
+        # Optimistic bound on the main launch alone: its work-items
+        # before the round-up to a local multiple, no other step and no
+        # occupancy/imbalance/overhead penalties.  Always <= the
         # estimate for every local size, so pruning on it is safe.
-        n_items = max(1, math.ceil(bench.gpu_work_items() / compiled.elems_per_item))
         cell = GpuLaunchCell(
             compiled=compiled,
-            traits=bench.gpu_traits(options),
-            n_items=n_items,
+            traits=main.spec.traits,
+            n_items=main.work_items(compiled.elems_per_item),
             local_size=1,  # the perfect-hiding floor reads no local size
         )
         stack = GpuConfigStack((cell,), platform.mali, dram, caches)
@@ -191,7 +189,7 @@ def _sweep_pruned(bench, candidates) -> tuple[TuneTrial, ...]:
     # tables, once), and every later local size of the group prices
     # through the same tables.  A pricer that fails to build (a stage-2
     # kernel can exhaust registers on its own) condemns its candidates
-    # with the same error estimate_iteration_seconds would have raised.
+    # with the error it raised.
     pricers: dict[CompileOptions, tuple[object, object]] = {}
     incumbent = math.inf
     for index in sorted(floors, key=lambda i: (floors[i], i)):

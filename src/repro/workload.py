@@ -31,8 +31,10 @@ class WorkloadTraits:
             job-manager imbalance term and the OpenMP imbalance term.
         serial_fraction: fraction of total work that cannot be
             parallelized on the CPU (Amdahl term for the OpenMP model).
-        launches: kernel launches (GPU) or parallel regions (OpenMP) per
-            timed iteration — fork/join and driver overhead multiplier.
+        launches: OpenMP parallel regions per timed iteration — the
+            fork/join overhead multiplier.  CPU traits only: a GPU
+            version's kernel launches are its declared steps
+            (``Benchmark.gpu_launches``).
         elements: logical problem elements processed per timed iteration
             (the NDRange before vectorization divides it).
     """

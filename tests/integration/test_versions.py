@@ -6,7 +6,11 @@ import pytest
 
 from repro.benchmarks import PAPER_ORDER, Precision, Version, create, run_version
 from repro.benchmarks.base import run_gpu_version
+from repro.benchmarks.common import DeviceFill
 from repro.compiler.options import NAIVE
+from repro.errors import CLError, CompilerError
+from repro.ocl.enums import CommandType
+from repro.optimizations.autotune import _candidates
 
 SCALE = 0.1
 
@@ -64,9 +68,42 @@ def test_opencl_uses_driver_local_size(results):
 
 
 def test_gpu_events_cover_iteration(results):
-    events = results["red"][Version.OPENCL].diagnostics["events"]
-    kernels = [e for e in events if e.info.get("kernel")]
-    assert [e.info["kernel"] for e in kernels] == ["red_stage1", "red_stage2"]
+    """The timed region is the declared steps, in declaration order."""
+
+    def region(name, version):
+        timed = (CommandType.FILL_BUFFER, CommandType.NDRANGE_KERNEL)
+        return [
+            e.info.get("kernel", "fill")
+            for e in results[name][version].diagnostics["events"]
+            if e.command_type in timed
+        ]
+
+    assert region("red", Version.OPENCL) == ["red_stage1", "red_stage2"]
+    options = results["hist"][Version.OPENCL_OPT].options
+    declared = [
+        "fill" if isinstance(step, DeviceFill) else step.spec.name
+        for step in create("hist", scale=SCALE).gpu_launches(options)
+    ]
+    assert region("hist", Version.OPENCL_OPT) == declared == [
+        "fill", "fill", "hist_privatized", "hist_merge"
+    ]
+
+
+@pytest.mark.parametrize("precision", list(Precision), ids=lambda p: p.label)
+@pytest.mark.parametrize("name", PAPER_ORDER)
+def test_tuner_estimate_is_the_timed_region(name, precision):
+    """Every tuner candidate's estimate equals its run's elapsed_s
+    bitwise, and the pricer raises exactly when the run fails."""
+    bench = create(name, precision=precision, scale=0.05)
+    for options, local in _candidates(bench, True):
+        run = run_gpu_version(bench, options, local)
+        try:
+            estimate = bench.iteration_pricer(options)(local)
+        except (CompilerError, CLError):
+            assert not run.ok, (options, local)
+            continue
+        assert run.ok, (options, local, run.failure)
+        assert estimate == run.elapsed_s, (options, local)
 
 
 def test_failed_runresult_interface():

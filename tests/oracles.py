@@ -444,6 +444,7 @@ def facade_rows(space, config) -> SpaceRows:
         fits_register_file(cell.compiled.registers, rf_scale)
         for cell in space.gpu_cells
     ]
+    launches = [n for bc in space.groups for n in bc.launches]
     width = len(space.gpu_cells)
     gpu_seconds = np.full(width, np.inf)
     gpu_iter = np.full(width, np.inf)
@@ -453,7 +454,7 @@ def facade_rows(space, config) -> SpaceRows:
         if not feasible[i]:
             continue
         t = pricing.gpu.price_one(cell)
-        duration = t.seconds * cell.traits.launches
+        duration = t.seconds * launches[i]
         trace = board.trace(
             [
                 Activity(

@@ -145,9 +145,9 @@ def test_analyze_is_memoized():
 
 def test_estimate_prices_from_cache_on_repeat():
     bench = create("vecop", scale=0.05)
-    t1 = bench.estimate_iteration_seconds(NAIVE, 128)
+    t1 = bench.iteration_pricer(NAIVE)(128)
     before = perf.counters()["gpu_timing"]
-    t2 = bench.estimate_iteration_seconds(NAIVE, 128)
+    t2 = bench.iteration_pricer(NAIVE)(128)
     after = perf.counters()["gpu_timing"]
     assert t2 == t1
     assert after["hits"] == before["hits"] + 1

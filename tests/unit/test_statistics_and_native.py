@@ -67,18 +67,18 @@ class TestNativeMath:
 
     def test_amcd_speeds_up(self):
         bench = create("amcd", scale=0.1)
-        base = bench.estimate_iteration_seconds(CompileOptions(qualifiers=True), 128)
-        native = bench.estimate_iteration_seconds(
-            CompileOptions(qualifiers=True, native_math=True), 128
-        )
+        base = bench.iteration_pricer(CompileOptions(qualifiers=True))(128)
+        native = bench.iteration_pricer(
+            CompileOptions(qualifiers=True, native_math=True)
+        )(128)
         assert native < base * 0.75
 
     def test_memory_bound_kernels_unaffected(self):
         bench = bench = create("vecop", scale=0.1)
-        base = bench.estimate_iteration_seconds(CompileOptions(vector_width=4), 128)
-        native = bench.estimate_iteration_seconds(
-            CompileOptions(vector_width=4, native_math=True), 128
-        )
+        base = bench.iteration_pricer(CompileOptions(vector_width=4))(128)
+        native = bench.iteration_pricer(
+            CompileOptions(vector_width=4, native_math=True)
+        )(128)
         assert native == pytest.approx(base, rel=0.01)
 
     def test_describe_and_any_enabled(self):
